@@ -3,11 +3,10 @@
 //! Table 2 — how many ASes use each action type;
 //! type counts — how many instances of each type occur.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
 
-use bgp_model::asn::Asn;
 use bgp_model::prefix::Afi;
 use community_dict::action::ActionGroup;
 use community_dict::ixp::IxpId;
@@ -30,9 +29,8 @@ pub struct Table2 {
 
 impl Table2 {
     /// Derive the table from accumulated per-group AS counts. Groups
-    /// with zero users must be absent (the batch scan only ever creates
-    /// an entry on occurrence) — the filter here keeps the incremental
-    /// path's serialization identical.
+    /// with zero users are dropped: the serialized table lists only
+    /// groups that occur.
     pub fn from_counts(
         ixp: IxpId,
         afi: Afi,
@@ -59,16 +57,17 @@ impl Table2 {
 }
 
 /// Compute Table 2.
-pub fn table2(view: &View<'_>) -> Table2 {
-    let mut users: BTreeMap<ActionGroup, BTreeSet<Asn>> = BTreeMap::new();
-    for (asn, _, _, action) in view.action_instances() {
-        users.entry(action.kind.group()).or_default().insert(asn);
-    }
+pub fn table2(view: &View) -> Table2 {
+    let users = |g: ActionGroup| {
+        view.per_as()
+            .filter(|(_, p)| p.groups[g.index()] > 0)
+            .count()
+    };
     Table2::from_counts(
-        view.snap.ixp,
-        view.snap.afi,
+        view.ixp,
+        view.afi,
         view.member_count(),
-        users.into_iter().map(|(g, s)| (g, s.len())).collect(),
+        ActionGroup::ALL.iter().map(|g| (*g, users(*g))).collect(),
     )
 }
 
@@ -86,9 +85,8 @@ pub struct TypeCounts {
 }
 
 impl TypeCounts {
-    /// Derive the counts from accumulated per-group instance totals,
-    /// filtering zero-count groups exactly like the batch scan (which
-    /// only creates entries on occurrence).
+    /// Derive the counts from accumulated per-group instance totals;
+    /// zero-count groups are dropped, as in [`Table2::from_counts`].
     pub fn from_counts(ixp: IxpId, afi: Afi, per_group: BTreeMap<ActionGroup, u64>) -> Self {
         let per_group: BTreeMap<ActionGroup, u64> =
             per_group.into_iter().filter(|(_, n)| *n > 0).collect();
@@ -114,17 +112,18 @@ impl TypeCounts {
 }
 
 /// Compute the §5.3 per-type instance counts.
-pub fn type_counts(view: &View<'_>) -> TypeCounts {
-    let mut per_group: BTreeMap<ActionGroup, u64> = BTreeMap::new();
-    for (_, _, _, action) in view.action_instances() {
-        *per_group.entry(action.kind.group()).or_insert(0) += 1;
-    }
-    TypeCounts::from_counts(view.snap.ixp, view.snap.afi, per_group)
+pub fn type_counts(view: &View) -> TypeCounts {
+    let per_group = ActionGroup::ALL
+        .iter()
+        .map(|g| (*g, view.insts_per_group[g.index()]))
+        .collect();
+    TypeCounts::from_counts(view.ixp, view.afi, per_group)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bgp_model::asn::Asn;
     use bgp_model::community::well_known;
     use bgp_model::route::Route;
     use community_dict::schemes;

@@ -1,76 +1,278 @@
-//! Shared iteration and counting primitives used by every analysis.
+//! The one aggregation core. [`View::update_route`] owns "a route
+//! contributes to the aggregates"; the per-figure functions
+//! ([`fig1`](crate::figs_overview::fig1) … [`fig7`](crate::tops::fig7))
+//! own "aggregates become figures" and read nothing but a [`View`].
+//!
+//! Both analysis paths are this code: the batch path folds a whole
+//! snapshot into a fresh `View` with `Dir::Apply` ([`View::new`]); the
+//! incremental engine ([`crate::incremental`]) keeps one `View` per
+//! family alive and applies/retracts one route per store delta. Neither
+//! ever walks routes again after the fold.
+//!
+//! # Interning
+//!
+//! The per-route path never scans the dictionary: community values and
+//! ASNs are interned to dense `u32` row ids on first sight (a community
+//! pays its one dictionary classification there), and every repeat is a
+//! `Vec` index. The intern maps are lookup-only — nothing iterates them;
+//! every figure is rebuilt through `BTreeMap`s keyed by the real values,
+//! so row ids never reach the output.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use bgp_model::asn::Asn;
-use bgp_model::community::{Community, StandardCommunity};
+use bgp_model::community::StandardCommunity;
+use bgp_model::prefix::Afi;
 use bgp_model::route::Route;
 use community_dict::action::Action;
 use community_dict::classify::{classify_extended, classify_large};
 use community_dict::dictionary::Dictionary;
+use community_dict::ixp::IxpId;
 use community_dict::semantics::{Classification, Semantics};
 use looking_glass::snapshot::Snapshot;
 
-/// A snapshot paired with the dictionary of its IXP — the unit every
-/// analysis consumes (exactly the artifacts the paper's pipeline holds).
-pub struct View<'a> {
-    /// The snapshot.
-    pub snap: &'a Snapshot,
-    /// The IXP's community dictionary.
-    pub dict: &'a Dictionary,
-    members: BTreeSet<Asn>,
-    /// Classification table: distinct community value → classification,
-    /// sorted for binary search. Distinct values repeat across millions
-    /// of instances (the corpus has ~3k of them), so each pays the
-    /// dictionary lookup exactly once — precomputed in [`View::new`]
-    /// over the snapshot's value set. Immutable after construction, so
-    /// a `View` is freely shared across `par` tasks (and staticheck's
-    /// SC109 passes waiver-free).
-    table: Vec<(u32, Classification)>,
+/// Direction of a route update: the two halves of the counter monoid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Dir {
+    /// Add the route's contribution.
+    Apply,
+    /// Subtract it again.
+    Retract,
 }
 
-impl<'a> View<'a> {
-    /// Pair a snapshot with its dictionary, classifying each distinct
-    /// community value in the snapshot exactly once up front.
-    pub fn new(snap: &'a Snapshot, dict: &'a Dictionary) -> Self {
+/// Step a counter in `dir`. A retract undoes exactly one earlier apply,
+/// so under a correct apply/retract pairing no counter is ever asked to
+/// go below zero. When one is (a route retracted twice, or never
+/// applied), the counter stays at zero and the event is counted in
+/// `underflows` — reported, not hidden behind a saturating subtract.
+fn step(counter: &mut u64, dir: Dir, underflows: &mut u64) {
+    match dir {
+        Dir::Apply => *counter = counter.saturating_add(1),
+        Dir::Retract => match counter.checked_sub(1) {
+            Some(n) => *counter = n,
+            None => *underflows = underflows.saturating_add(1),
+        },
+    }
+}
+
+/// Interner: key → dense row id, the row created once on first sight.
+/// `ids` is lookup-only; iteration happens over the dense `rows`.
+#[derive(Debug, Clone)]
+struct Interned<T> {
+    ids: HashMap<u32, u32>,
+    rows: Vec<(u32, T)>,
+}
+
+impl<T> Interned<T> {
+    fn new() -> Self {
+        Interned {
+            ids: HashMap::new(),
+            rows: Vec::new(),
+        }
+    }
+
+    fn intern(&mut self, key: u32, new_row: impl FnOnce() -> T) -> u32 {
+        if let Some(&id) = self.ids.get(&key) {
+            return id;
+        }
+        let id = self.rows.len() as u32;
+        self.ids.insert(key, id);
+        self.rows.push((key, new_row()));
+        id
+    }
+}
+
+/// Per-AS counters (one row per interned announcer).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct PerAs {
+    /// Routes announced by this AS.
+    pub(crate) routes: u64,
+    /// Routes carrying at least one action community.
+    pub(crate) tagged: u64,
+    /// Action instances across this AS's routes.
+    pub(crate) instances: u64,
+    /// Action instances per `ActionGroup::index()`.
+    pub(crate) groups: [u64; 4],
+}
+
+/// One interned standard community: its classification, paid once, and
+/// how many action instances of it are in the unit (Figs. 5–6).
+#[derive(Debug, Clone, Copy)]
+struct CommRow {
+    class: Classification,
+    instances: u64,
+}
+
+/// The aggregates of one (IXP, family) unit — every counter behind one
+/// [`SnapshotReport`](crate::summary::SnapshotReport), and the only
+/// input the figure functions take.
+#[derive(Debug, Clone)]
+pub struct View {
+    pub(crate) ixp: IxpId,
+    pub(crate) afi: Afi,
+    /// Peers holding a session for this family (the figures'
+    /// denominators and the §5.5 membership test).
+    pub(crate) members: BTreeSet<Asn>,
+    /// Community instances with no IXP meaning, all three types (Fig. 1).
+    pub(crate) unknown: u64,
+    /// IXP-defined extended instances (Figs. 1–2).
+    pub(crate) ext_defined: u64,
+    /// IXP-defined large instances (Figs. 1–2).
+    pub(crate) large_defined: u64,
+    /// Standard IXP-defined action instances (Figs. 3–7, Table 2, §5.5).
+    pub(crate) std_action: u64,
+    /// Standard IXP-defined informational instances (Figs. 1–3).
+    pub(crate) std_info: u64,
+    /// Routes (Fig. 4a).
+    pub(crate) routes_total: u64,
+    /// Action instances per group index (§5.3).
+    pub(crate) insts_per_group: [u64; 4],
+    /// Retracts that found their counter already at zero (see [`step`]).
+    pub(crate) underflows: u64,
+    asns: Interned<PerAs>,
+    comms: Interned<CommRow>,
+    /// Action instances per (ASN row, community row) — Fig. 7's
+    /// tagger×community matrix. Entries are removed when they retract to
+    /// zero, keeping the map churn-bounded.
+    per_as_comm: BTreeMap<(u32, u32), u64>,
+}
+
+impl View {
+    /// The aggregates of a snapshot: one pass over its routes, each
+    /// distinct community value classified against `dict` exactly once.
+    pub fn new(snap: &Snapshot, dict: &Dictionary) -> Self {
         debug_assert_eq!(snap.ixp, dict.ixp());
-        let distinct: BTreeSet<u32> = snap
-            .routes
-            .iter()
-            .flat_map(|(_, r)| r.standard_communities.iter().map(|c| c.0))
-            .collect();
-        let table = distinct
-            .into_iter()
-            .map(|v| (v, dict.classify(StandardCommunity(v))))
-            .collect();
+        let mut view = View::empty(snap.ixp, snap.afi);
+        view.members.extend(snap.members.iter().copied());
+        for (peer, route) in &snap.routes {
+            view.update_route(dict, *peer, route, Dir::Apply);
+        }
+        view
+    }
+
+    /// A unit with no members and no routes.
+    pub(crate) fn empty(ixp: IxpId, afi: Afi) -> Self {
         View {
-            snap,
-            dict,
-            members: snap.members.iter().copied().collect(),
-            table,
+            ixp,
+            afi,
+            members: BTreeSet::new(),
+            unknown: 0,
+            ext_defined: 0,
+            large_defined: 0,
+            std_action: 0,
+            std_info: 0,
+            routes_total: 0,
+            insts_per_group: [0; 4],
+            underflows: 0,
+            asns: Interned::new(),
+            comms: Interned::new(),
+            per_as_comm: BTreeMap::new(),
         }
     }
 
-    /// Classify a standard community against the dictionary via the
-    /// precomputed table; values outside the snapshot fall back to a
-    /// direct dictionary lookup.
-    pub fn classify(&self, c: StandardCommunity) -> Classification {
-        match self.table.binary_search_by_key(&c.0, |&(v, _)| v) {
-            Ok(i) => self.table[i].1,
-            Err(_) => self.dict.classify(c),
+    /// One route's full contribution, applied or retracted. The caller
+    /// has already established that the route belongs to this unit.
+    pub(crate) fn update_route(&mut self, dict: &Dictionary, peer: Asn, route: &Route, dir: Dir) {
+        let under = &mut self.underflows;
+        let aid = self.asns.intern(peer.value(), PerAs::default);
+        step(&mut self.routes_total, dir, under);
+        let mut has_action = false;
+        for c in &route.standard_communities {
+            let cid = self.comms.intern(c.0, || CommRow {
+                class: dict.classify(*c),
+                instances: 0,
+            });
+            let row = &mut self.comms.rows[cid as usize].1;
+            match row.class {
+                Classification::Unknown => step(&mut self.unknown, dir, under),
+                Classification::IxpDefined(Semantics::Informational(_)) => {
+                    step(&mut self.std_info, dir, under)
+                }
+                Classification::IxpDefined(Semantics::Action(action)) => {
+                    has_action = true;
+                    let gi = action.kind.group().index();
+                    let per_as = &mut self.asns.rows[aid as usize].1;
+                    step(&mut self.std_action, dir, under);
+                    step(&mut self.insts_per_group[gi], dir, under);
+                    step(&mut row.instances, dir, under);
+                    step(&mut per_as.instances, dir, under);
+                    step(&mut per_as.groups[gi], dir, under);
+                    let pair = self.per_as_comm.entry((aid, cid)).or_insert(0);
+                    step(pair, dir, under);
+                    if *pair == 0 {
+                        self.per_as_comm.remove(&(aid, cid));
+                    }
+                }
+            }
+        }
+        for lc in &route.large_communities {
+            match classify_large(self.ixp, *lc) {
+                Classification::IxpDefined(_) => step(&mut self.large_defined, dir, under),
+                Classification::Unknown => step(&mut self.unknown, dir, under),
+            }
+        }
+        for ec in &route.extended_communities {
+            match classify_extended(self.ixp, *ec) {
+                Classification::IxpDefined(_) => step(&mut self.ext_defined, dir, under),
+                Classification::Unknown => step(&mut self.unknown, dir, under),
+            }
+        }
+        let per_as = &mut self.asns.rows[aid as usize].1;
+        step(&mut per_as.routes, dir, under);
+        if has_action {
+            step(&mut per_as.tagged, dir, under);
         }
     }
 
-    /// Classify any community type: standard values go through the
-    /// precomputed ID-indexed table, large and extended through the
-    /// rule-based schemes (already O(1) — no dictionary scan exists for
-    /// them to amortize). Figures 1–2 use this instead of re-deriving
-    /// every instance against the dictionary.
-    pub fn classify_full(&self, c: &Community) -> Classification {
-        match c {
-            Community::Standard(sc) => self.classify(*sc),
-            Community::Large(lc) => classify_large(self.dict.ixp(), *lc),
-            Community::Extended(ec) => classify_extended(self.dict.ixp(), *ec),
+    /// Fold `other` (built over a disjoint peer set) into `self`. Every
+    /// counter is a sum and members a set union, so the fold is
+    /// associative and commutative; `other`'s rows are re-keyed through
+    /// `self`'s interners, carrying classifications over rather than
+    /// re-deriving them.
+    pub(crate) fn merge(&mut self, other: &View) {
+        self.members.extend(other.members.iter().copied());
+        for (mine, theirs) in [
+            (&mut self.unknown, other.unknown),
+            (&mut self.ext_defined, other.ext_defined),
+            (&mut self.large_defined, other.large_defined),
+            (&mut self.std_action, other.std_action),
+            (&mut self.std_info, other.std_info),
+            (&mut self.routes_total, other.routes_total),
+            (&mut self.underflows, other.underflows),
+        ] {
+            *mine = mine.saturating_add(theirs);
+        }
+        for (mine, theirs) in self.insts_per_group.iter_mut().zip(other.insts_per_group) {
+            *mine = mine.saturating_add(theirs);
+        }
+        let mut asn_map = Vec::with_capacity(other.asns.rows.len());
+        for (asn, theirs) in &other.asns.rows {
+            let id = self.asns.intern(*asn, PerAs::default);
+            let mine = &mut self.asns.rows[id as usize].1;
+            mine.routes = mine.routes.saturating_add(theirs.routes);
+            mine.tagged = mine.tagged.saturating_add(theirs.tagged);
+            mine.instances = mine.instances.saturating_add(theirs.instances);
+            for (g, o) in mine.groups.iter_mut().zip(theirs.groups) {
+                *g = g.saturating_add(o);
+            }
+            asn_map.push(id);
+        }
+        let mut comm_map = Vec::with_capacity(other.comms.rows.len());
+        for (value, theirs) in &other.comms.rows {
+            let id = self.comms.intern(*value, || CommRow {
+                class: theirs.class,
+                instances: 0,
+            });
+            let mine = &mut self.comms.rows[id as usize].1;
+            mine.instances = mine.instances.saturating_add(theirs.instances);
+            comm_map.push(id);
+        }
+        for (&(aid, cid), &n) in &other.per_as_comm {
+            let pair = self
+                .per_as_comm
+                .entry((asn_map[aid as usize], comm_map[cid as usize]))
+                .or_insert(0);
+            *pair = pair.saturating_add(n);
         }
     }
 
@@ -84,36 +286,10 @@ impl<'a> View<'a> {
         self.members.len()
     }
 
-    /// Iterate `(announcer, route)` pairs.
-    pub fn routes(&self) -> impl Iterator<Item = (Asn, &'a Route)> + '_ {
-        self.snap.routes.iter().map(|(a, r)| (*a, r))
-    }
-
-    /// Iterate every *standard* community instance with its
-    /// classification: `(announcer, route, community, classification)`.
-    /// Figures 3–7 and Table 2 work on standard communities only (§4).
-    pub fn standard_instances(
-        &self,
-    ) -> impl Iterator<Item = (Asn, &'a Route, StandardCommunity, Classification)> + '_ {
-        self.routes().flat_map(move |(asn, route)| {
-            route
-                .standard_communities
-                .iter()
-                .map(move |c| (asn, route, *c, self.classify(*c)))
-        })
-    }
-
-    /// Iterate every IXP-defined *action* instance (standard only):
-    /// `(announcer, route, community, action)`.
-    pub fn action_instances(
-        &self,
-    ) -> impl Iterator<Item = (Asn, &'a Route, StandardCommunity, Action)> + '_ {
-        self.standard_instances()
-            .filter_map(|(asn, route, c, cl)| cl.action().map(|a| (asn, route, c, a)))
-    }
-
     /// An action instance is *ineffective* when it targets a single AS
-    /// that has no session at this RS (§5.5).
+    /// that has no session at this RS (§5.5). Evaluated against the
+    /// current member set, so a member joining or leaving re-scopes
+    /// Figs. 6–7 without touching any counter.
     pub fn is_ineffective(&self, action: &Action) -> bool {
         match action.target.peer_asn() {
             Some(asn) => !self.is_member(asn),
@@ -121,19 +297,40 @@ impl<'a> View<'a> {
         }
     }
 
-    /// Total standard IXP-defined instances split into
-    /// (informational, action).
-    pub fn standard_defined_split(&self) -> (u64, u64) {
-        let mut info = 0u64;
-        let mut action = 0u64;
-        for (_, _, _, cl) in self.standard_instances() {
-            match cl {
-                Classification::IxpDefined(Semantics::Informational(_)) => info += 1,
-                Classification::IxpDefined(Semantics::Action(_)) => action += 1,
-                Classification::Unknown => {}
-            }
-        }
-        (info, action)
+    /// Standard IXP-defined instances (Fig. 2's standard bar, Fig. 3's
+    /// total).
+    pub(crate) fn std_defined(&self) -> u64 {
+        self.std_action + self.std_info
+    }
+
+    /// The counters of every AS seen announcing. Rows whose routes were
+    /// all retracted are all-zero; readers filter on the counter they
+    /// use.
+    pub(crate) fn per_as(&self) -> impl Iterator<Item = (Asn, &PerAs)> + '_ {
+        self.asns.rows.iter().map(|(asn, p)| (Asn(*asn), p))
+    }
+
+    /// Every action community with at least one instance, with its
+    /// resolved action and instance count (Figs. 5–6, §5.5).
+    pub(crate) fn action_communities(
+        &self,
+    ) -> impl Iterator<Item = (StandardCommunity, Action, u64)> + '_ {
+        self.comms
+            .rows
+            .iter()
+            .filter(|(_, row)| row.instances > 0)
+            .filter_map(|(value, row)| {
+                let action = row.class.action()?;
+                Some((StandardCommunity(*value), action, row.instances))
+            })
+    }
+
+    /// Action instances per (tagging AS, action) pair (Fig. 7).
+    pub(crate) fn tagger_actions(&self) -> impl Iterator<Item = (Asn, Action, u64)> + '_ {
+        self.per_as_comm.iter().filter_map(|(&(aid, cid), &n)| {
+            let action = self.comms.rows[cid as usize].1.class.action()?;
+            Some((Asn(self.asns.rows[aid as usize].0), action, n))
+        })
     }
 }
 
@@ -149,38 +346,40 @@ pub fn pct(part: u64, whole: u64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgp_model::prefix::Afi;
-    use community_dict::ixp::IxpId;
     use community_dict::schemes;
 
+    const IXP: IxpId = IxpId::Linx;
+
+    fn route(tagger: u32, cs: Vec<StandardCommunity>) -> Route {
+        Route::builder(
+            "193.0.10.0/24".parse().unwrap(),
+            "198.32.0.7".parse().unwrap(),
+        )
+        .path([tagger, 15169])
+        .standards(cs)
+        .build()
+    }
+
     fn snapshot() -> Snapshot {
-        let ixp = IxpId::Linx;
-        let mk = |pfx: &str, tagger: u32, cs: Vec<StandardCommunity>| {
-            (
-                Asn(tagger),
-                Route::builder(pfx.parse().unwrap(), "198.32.0.7".parse().unwrap())
-                    .path([tagger, 15169])
-                    .standards(cs)
-                    .build(),
-            )
-        };
         Snapshot {
-            ixp,
+            ixp: IXP,
             day: 0,
             afi: Afi::Ipv4,
             members: vec![Asn(39120), Asn(6939)],
             routes: vec![
-                mk(
-                    "193.0.10.0/24",
-                    39120,
-                    vec![
-                        schemes::avoid_community(ixp, Asn(6939)),  // member target
-                        schemes::avoid_community(ixp, Asn(16276)), // non-member
-                        schemes::info_community(ixp, 0),
-                        StandardCommunity::from_parts(3356, 70), // unknown
-                    ],
+                (
+                    Asn(39120),
+                    route(
+                        39120,
+                        vec![
+                            schemes::avoid_community(IXP, Asn(6939)),  // member target
+                            schemes::avoid_community(IXP, Asn(16276)), // non-member
+                            schemes::info_community(IXP, 0),
+                            StandardCommunity::from_parts(3356, 70), // unknown
+                        ],
+                    ),
                 ),
-                mk("193.0.11.0/24", 6939, vec![]),
+                (Asn(6939), route(6939, vec![])),
             ],
             partial: false,
             failed_peers: vec![],
@@ -188,30 +387,48 @@ mod tests {
     }
 
     #[test]
-    fn instance_iteration_and_classification() {
+    fn fold_counts_and_classifies_every_instance() {
         let snap = snapshot();
-        let dict = schemes::dictionary(IxpId::Linx);
-        let view = View::new(&snap, &dict);
-        assert_eq!(view.standard_instances().count(), 4);
-        let actions: Vec<_> = view.action_instances().collect();
+        let view = View::new(&snap, &schemes::dictionary(IXP));
+        assert_eq!(view.routes_total, 2);
+        assert_eq!((view.std_info, view.std_action, view.unknown), (1, 2, 1));
+        let actions: Vec<_> = view.action_communities().collect();
         assert_eq!(actions.len(), 2);
         let ineffective = actions
             .iter()
-            .filter(|(_, _, _, a)| view.is_ineffective(a))
+            .filter(|(_, a, _)| view.is_ineffective(a))
             .count();
         assert_eq!(ineffective, 1); // OVH is not a member
-        let (info, action) = view.standard_defined_split();
-        assert_eq!((info, action), (1, 2));
+        assert_eq!(view.tagger_actions().count(), 2);
+        assert_eq!(view.underflows, 0);
     }
 
     #[test]
     fn membership() {
         let snap = snapshot();
-        let dict = schemes::dictionary(IxpId::Linx);
-        let view = View::new(&snap, &dict);
+        let view = View::new(&snap, &schemes::dictionary(IXP));
         assert!(view.is_member(Asn(6939)));
         assert!(!view.is_member(Asn(16276)));
         assert_eq!(view.member_count(), 2);
+    }
+
+    #[test]
+    fn retract_restores_the_counters_and_a_second_retract_is_counted() {
+        let dict = schemes::dictionary(IXP);
+        let r = route(39120, vec![schemes::avoid_community(IXP, Asn(6939))]);
+        let mut view = View::empty(IXP, Afi::Ipv4);
+        view.update_route(&dict, Asn(39120), &r, Dir::Apply);
+        view.update_route(&dict, Asn(39120), &r, Dir::Retract);
+        assert_eq!((view.routes_total, view.std_action), (0, 0));
+        assert_eq!(view.action_communities().count(), 0);
+        assert_eq!(view.tagger_actions().count(), 0);
+        assert_eq!(view.underflows, 0);
+        // the same withdraw again: every counter the route touched is
+        // already zero — routes_total, std_action, the group, the
+        // community, per-AS instances/group/routes/tagged, the pair
+        view.update_route(&dict, Asn(39120), &r, Dir::Retract);
+        assert_eq!(view.underflows, 9);
+        assert_eq!((view.routes_total, view.std_action), (0, 0));
     }
 
     #[test]

@@ -44,26 +44,19 @@ impl Fig4a {
 }
 
 /// Compute Fig. 4a.
-pub fn fig4a(view: &View<'_>) -> Fig4a {
-    let mut users = std::collections::BTreeSet::new();
-    let mut tagged_routes = 0usize;
-    for (asn, route) in view.routes() {
-        let has_action = route
-            .standard_communities
-            .iter()
-            .any(|c| view.classify(*c).action().is_some());
-        if has_action {
-            users.insert(asn);
-            tagged_routes += 1;
-        }
-    }
+pub fn fig4a(view: &View) -> Fig4a {
+    let tagged: Vec<u64> = view
+        .per_as()
+        .map(|(_, p)| p.tagged)
+        .filter(|n| *n > 0)
+        .collect();
     Fig4a {
-        ixp: view.snap.ixp,
-        afi: view.snap.afi,
+        ixp: view.ixp,
+        afi: view.afi,
         members_at_rs: view.member_count(),
-        ases_using_actions: users.len(),
-        routes_total: view.snap.route_count(),
-        routes_with_actions: tagged_routes,
+        ases_using_actions: tagged.len(),
+        routes_total: view.routes_total as usize,
+        routes_with_actions: tagged.iter().sum::<u64>() as usize,
     }
 }
 
@@ -83,10 +76,8 @@ pub struct Fig4b {
 }
 
 impl Fig4b {
-    /// Derive the figure from accumulated per-AS action-instance counts —
-    /// the single ranking path shared by the batch scan and the
-    /// incremental engine (identical sort and tie-break, so identical
-    /// bytes).
+    /// Derive the figure from accumulated per-AS action-instance counts
+    /// (ties rank by ascending ASN).
     pub fn from_per_as(
         ixp: IxpId,
         afi: Afi,
@@ -130,13 +121,22 @@ impl Fig4b {
     }
 }
 
+/// Action instances per tagging AS; ASes with none are absent.
+fn instances_per_as(view: &View) -> BTreeMap<Asn, u64> {
+    view.per_as()
+        .filter(|(_, p)| p.instances > 0)
+        .map(|(asn, p)| (asn, p.instances))
+        .collect()
+}
+
 /// Compute Fig. 4b.
-pub fn fig4b(view: &View<'_>) -> Fig4b {
-    let mut per_as: BTreeMap<Asn, u64> = BTreeMap::new();
-    for (asn, _, _, _) in view.action_instances() {
-        *per_as.entry(asn).or_insert(0) += 1;
-    }
-    Fig4b::from_per_as(view.snap.ixp, view.snap.afi, per_as, view.member_count())
+pub fn fig4b(view: &View) -> Fig4b {
+    Fig4b::from_per_as(
+        view.ixp,
+        view.afi,
+        instances_per_as(view),
+        view.member_count(),
+    )
 }
 
 /// Fig. 4c result: one point per AS.
@@ -205,9 +205,8 @@ impl Fig4c {
 
 impl Fig4c {
     /// Derive the figure from accumulated per-AS route and
-    /// action-instance counts (shared by the batch scan and the
-    /// incremental engine; the float divisions happen here and only
-    /// here, so both paths produce bit-identical points).
+    /// action-instance counts. The float divisions happen here and only
+    /// here, so every caller gets bit-identical points.
     pub fn from_counts(
         ixp: IxpId,
         afi: Afi,
@@ -232,16 +231,13 @@ impl Fig4c {
 }
 
 /// Compute Fig. 4c.
-pub fn fig4c(view: &View<'_>) -> Fig4c {
-    let mut comm: BTreeMap<Asn, u64> = BTreeMap::new();
-    let mut routes: BTreeMap<Asn, u64> = BTreeMap::new();
-    for (asn, _) in view.routes() {
-        *routes.entry(asn).or_insert(0) += 1;
-    }
-    for (asn, _, _, _) in view.action_instances() {
-        *comm.entry(asn).or_insert(0) += 1;
-    }
-    Fig4c::from_counts(view.snap.ixp, view.snap.afi, &routes, &comm)
+pub fn fig4c(view: &View) -> Fig4c {
+    let routes: BTreeMap<Asn, u64> = view
+        .per_as()
+        .filter(|(_, p)| p.routes > 0)
+        .map(|(asn, p)| (asn, p.routes))
+        .collect();
+    Fig4c::from_counts(view.ixp, view.afi, &routes, &instances_per_as(view))
 }
 
 #[cfg(test)]

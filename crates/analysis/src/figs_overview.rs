@@ -6,10 +6,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use bgp_model::community::CommunityType;
 use bgp_model::prefix::Afi;
 use community_dict::ixp::IxpId;
-use community_dict::semantics::{Classification, Semantics};
 
 use crate::core::{pct, View};
 
@@ -29,9 +27,7 @@ pub struct Fig1 {
 }
 
 impl Fig1 {
-    /// Derive the figure from accumulated counts — the single
-    /// construction path shared by the batch scan and the incremental
-    /// engine, so both produce identical structs by construction.
+    /// Derive the figure from accumulated counts.
     pub fn from_counts(ixp: IxpId, afi: Afi, ixp_defined: u64, unknown: u64) -> Self {
         Fig1 {
             ixp,
@@ -54,18 +50,9 @@ impl Fig1 {
 }
 
 /// Compute Fig. 1 for one view.
-pub fn fig1(view: &View<'_>) -> Fig1 {
-    let mut defined = 0u64;
-    let mut unknown = 0u64;
-    for (_, route) in view.routes() {
-        for c in route.communities() {
-            match view.classify_full(&c) {
-                Classification::IxpDefined(_) => defined += 1,
-                Classification::Unknown => unknown += 1,
-            }
-        }
-    }
-    Fig1::from_counts(view.snap.ixp, view.snap.afi, defined, unknown)
+pub fn fig1(view: &View) -> Fig1 {
+    let defined = view.std_defined() + view.ext_defined + view.large_defined;
+    Fig1::from_counts(view.ixp, view.afi, defined, view.unknown)
 }
 
 /// Fig. 2 result: IXP-defined instances by structural type.
@@ -86,8 +73,7 @@ pub struct Fig2 {
 }
 
 impl Fig2 {
-    /// Derive the figure from accumulated per-type defined counts
-    /// (shared by the batch scan and the incremental engine).
+    /// Derive the figure from accumulated per-type defined counts.
     pub fn from_counts(ixp: IxpId, afi: Afi, standard: u64, extended: u64, large: u64) -> Self {
         Fig2 {
             ixp,
@@ -116,20 +102,14 @@ impl Fig2 {
 }
 
 /// Compute Fig. 2 for one view.
-pub fn fig2(view: &View<'_>) -> Fig2 {
-    let (mut standard, mut extended, mut large) = (0u64, 0u64, 0u64);
-    for (_, route) in view.routes() {
-        for c in route.communities() {
-            if view.classify_full(&c).is_ixp_defined() {
-                match c.community_type() {
-                    CommunityType::Standard => standard += 1,
-                    CommunityType::Extended => extended += 1,
-                    CommunityType::Large => large += 1,
-                }
-            }
-        }
-    }
-    Fig2::from_counts(view.snap.ixp, view.snap.afi, standard, extended, large)
+pub fn fig2(view: &View) -> Fig2 {
+    Fig2::from_counts(
+        view.ixp,
+        view.afi,
+        view.std_defined(),
+        view.ext_defined,
+        view.large_defined,
+    )
 }
 
 /// Fig. 3 result: standard IXP-defined split into action/informational.
@@ -148,8 +128,7 @@ pub struct Fig3 {
 }
 
 impl Fig3 {
-    /// Derive the figure from accumulated action/informational counts
-    /// (shared by the batch scan and the incremental engine).
+    /// Derive the figure from accumulated action/informational counts.
     pub fn from_counts(ixp: IxpId, afi: Afi, action: u64, informational: u64) -> Self {
         Fig3 {
             ixp,
@@ -172,17 +151,8 @@ impl Fig3 {
 }
 
 /// Compute Fig. 3 for one view.
-pub fn fig3(view: &View<'_>) -> Fig3 {
-    let mut action = 0u64;
-    let mut info = 0u64;
-    for (_, _, _, cl) in view.standard_instances() {
-        match cl {
-            Classification::IxpDefined(Semantics::Action(_)) => action += 1,
-            Classification::IxpDefined(Semantics::Informational(_)) => info += 1,
-            Classification::Unknown => {}
-        }
-    }
-    Fig3::from_counts(view.snap.ixp, view.snap.afi, action, info)
+pub fn fig3(view: &View) -> Fig3 {
+    Fig3::from_counts(view.ixp, view.afi, view.std_action, view.std_info)
 }
 
 #[cfg(test)]

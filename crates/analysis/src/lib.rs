@@ -3,7 +3,11 @@
 //! Every table and figure of the CoNEXT'22 paper, computed from the
 //! artifacts the paper's pipeline holds: snapshots (member list +
 //! accepted routes with communities) plus the per-IXP community
-//! dictionary. One module per analysis:
+//! dictionary. [`core::View`] folds a snapshot's routes into one set of
+//! counters in a single pass ([`incremental`] keeps the same counters
+//! current per stream delta instead); every function below reads its
+//! figure off a `View`, and [`summary::SnapshotReport::from_view`]
+//! assembles them all. One module per analysis:
 //!
 //! | Paper element | Module / function |
 //! |---|---|
@@ -21,7 +25,10 @@
 //! | §5.5 ineffective share | [`tops::ineffective`] |
 //! | Fig. 7 (culprit ASes) | [`tops::fig7`] |
 //! | Tables 3 & 4 (stability) | [`tables::StabilityRow`] |
-//! | §5.4 cross-IXP target overlap | [`overlap::target_overlap`] |
+//! | §5.4 cross-IXP target overlap | [`overlap::target_overlap_from_tops`] |
+//! | All of the above, one (IXP, family) | [`summary::SnapshotReport::from_view`] |
+//! | All units of a store | [`summary::full_report`] |
+//! | The same, maintained per stream delta | [`incremental::IncrementalReport`] |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +51,7 @@ pub mod prelude {
     pub use crate::fig4::{fig4a, fig4b, fig4c, Fig4a, Fig4b, Fig4c};
     pub use crate::figs_overview::{fig1, fig2, fig3, Fig1, Fig2, Fig3};
     pub use crate::incremental::{IncrementalReport, IxpEngine};
-    pub use crate::overlap::{target_overlap, TargetOverlap};
+    pub use crate::overlap::{target_overlap_from_tops, TargetOverlap};
     pub use crate::report::{human_count, pct1, TextTable};
     pub use crate::summary::{full_report, FullReport, SnapshotReport};
     pub use crate::tables::{table1_row, StabilityRow, Table1Row, Variation};

@@ -17,8 +17,7 @@ use community_dict::action::ActionGroup;
 use community_dict::ixp::IxpId;
 use community_dict::known;
 
-use crate::core::View;
-use crate::tops::{fig5, TopCommunities};
+use crate::tops::TopCommunities;
 
 /// The avoided-AS sets behind each IXP's top-20 communities.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -62,10 +61,9 @@ impl TargetOverlap {
     }
 }
 
-/// Compute the overlap from already-ranked Fig. 5 results (one per IXP,
-/// same family) — the zero-recompute path [`crate::summary::full_report`]
-/// and the incremental engine use, since both have the per-IXP top-20 in
-/// hand by the time the overlap is needed.
+/// Compute the overlap from ranked Fig. 5 results (one per IXP, same
+/// family) — every caller has the per-IXP top-20 in hand by the time the
+/// overlap is needed.
 pub fn target_overlap_from_tops(tops: &[&TopCommunities]) -> TargetOverlap {
     let afi = tops.first().map(|t| t.afi).unwrap_or(Afi::Ipv4);
     let per_ixp = tops
@@ -83,15 +81,11 @@ pub fn target_overlap_from_tops(tops: &[&TopCommunities]) -> TargetOverlap {
     TargetOverlap { afi, per_ixp }
 }
 
-/// Compute the overlap across a set of views (one per IXP, same family).
-pub fn target_overlap(views: &[View<'_>]) -> TargetOverlap {
-    let tops: Vec<TopCommunities> = views.iter().map(fig5).collect();
-    target_overlap_from_tops(&tops.iter().collect::<Vec<_>>())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::View;
+    use crate::tops::fig5;
     use bgp_model::route::Route;
     use community_dict::schemes;
     use looking_glass::snapshot::Snapshot;
@@ -130,8 +124,11 @@ mod tests {
         let d_ams = schemes::dictionary(IxpId::AmsIx);
         let s_linx = snap(IxpId::Linx, &[15169, 16276, 20940]);
         let s_ams = snap(IxpId::AmsIx, &[16276, 20940, 13335]);
-        let views = vec![View::new(&s_linx, &d_linx), View::new(&s_ams, &d_ams)];
-        let ov = target_overlap(&views);
+        let tops = [
+            fig5(&View::new(&s_linx, &d_linx)),
+            fig5(&View::new(&s_ams, &d_ams)),
+        ];
+        let ov = target_overlap_from_tops(&tops.iter().collect::<Vec<_>>());
         let shared = ov.pairwise(IxpId::Linx, IxpId::AmsIx);
         assert_eq!(
             shared,
@@ -147,7 +144,7 @@ mod tests {
 
     #[test]
     fn empty_views() {
-        let ov = target_overlap(&[]);
+        let ov = target_overlap_from_tops(&[]);
         assert!(ov.common().is_empty());
         assert!(ov.pairwise(IxpId::Linx, IxpId::AmsIx).is_empty());
     }

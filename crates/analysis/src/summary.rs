@@ -15,7 +15,7 @@ use crate::core::View;
 use crate::fig4::{fig4a, fig4b, fig4c, Fig4a};
 use crate::figs_overview::{fig1, fig2, fig3, Fig1, Fig2, Fig3};
 use crate::overlap::{target_overlap_from_tops, TargetOverlap};
-use crate::tops::{fig5, fig6, fig7, ineffective, Fig7, Ineffective, TopCommunities};
+use crate::tops::{fig5, fig6, fig7, ineffective_given, Fig7, Ineffective, TopCommunities};
 
 /// Everything computed for one (IXP, family) snapshot.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -56,6 +56,36 @@ pub struct SnapshotReport {
     pub fig7: Fig7,
 }
 
+impl SnapshotReport {
+    /// Every figure and table of one unit, read off its aggregates —
+    /// the one assembly behind [`full_report`] and the incremental
+    /// engine's [`unit_report`](crate::incremental::IxpEngine::unit_report).
+    pub fn from_view(view: &View, day: u32) -> Self {
+        let b = fig4b(view);
+        let c = fig4c(view);
+        let fig5 = fig5(view);
+        SnapshotReport {
+            ixp: view.ixp,
+            afi: view.afi,
+            day,
+            fig1: fig1(view),
+            fig2: fig2(view),
+            fig3: fig3(view),
+            fig4a: fig4a(view),
+            fig4b_top1pct: b.share_of_top(0.01),
+            fig4b_top10pct: b.share_of_top(0.10),
+            fig4c_log_correlation: c.log_correlation(),
+            fig4c_asymmetry: c.asymmetry(),
+            table2: table2(view),
+            type_counts: type_counts(view),
+            fig6: fig6(view),
+            ineffective: ineffective_given(view, &fig5),
+            fig7: fig7(view, 10),
+            fig5,
+        }
+    }
+}
+
 /// The full evaluation report.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct FullReport {
@@ -70,11 +100,10 @@ pub struct FullReport {
 /// present.
 pub fn full_report(store: &SnapshotStore, dicts: &[(IxpId, Dictionary)]) -> FullReport {
     let _span = obs::span!(obs::names::ANALYSIS_FULL_REPORT);
-    let mut report = FullReport::default();
-    // Fan out per (IXP, family) snapshot: each task builds its own View
-    // (with its own classification memo) and computes every figure and
-    // table for it. The ordered join keeps `report.snapshots` in the
-    // same (dict order × family) order as the serial loop.
+    // Fan out per (IXP, family) snapshot: each task folds its snapshot
+    // into its own View (own interners, nothing shared) and reads every
+    // figure and table off it. The ordered join keeps the units in the
+    // same (dict order × family) order as a serial loop.
     let units: Vec<(usize, Afi)> = (0..dicts.len())
         .flat_map(|i| [(i, Afi::Ipv4), (i, Afi::Ipv6)])
         .collect();
@@ -82,46 +111,27 @@ pub fn full_report(store: &SnapshotStore, dicts: &[(IxpId, Dictionary)]) -> Full
         let _span = obs::span!(obs::names::ANALYSIS_REPORT_UNIT);
         let (ixp, dict) = &dicts[i];
         let snap = store.latest(*ixp, afi)?;
-        let view = View::new(snap, dict);
-        let b = fig4b(&view);
-        let c = fig4c(&view);
-        Some(SnapshotReport {
-            ixp: *ixp,
-            afi,
-            day: snap.day,
-            fig1: fig1(&view),
-            fig2: fig2(&view),
-            fig3: fig3(&view),
-            fig4a: fig4a(&view),
-            fig4b_top1pct: b.share_of_top(0.01),
-            fig4b_top10pct: b.share_of_top(0.10),
-            fig4c_log_correlation: c.log_correlation(),
-            fig4c_asymmetry: c.asymmetry(),
-            table2: table2(&view),
-            type_counts: type_counts(&view),
-            fig5: fig5(&view),
-            fig6: fig6(&view),
-            ineffective: ineffective(&view),
-            fig7: fig7(&view, 10),
-        })
+        Some(SnapshotReport::from_view(&View::new(snap, dict), snap.day))
     });
-    report.snapshots.extend(computed.into_iter().flatten());
-    // §5.4 overlap: reuse the Fig. 5 rankings already computed per unit
-    // instead of rebuilding every IPv4 view (and its classification
-    // memo) a second time.
-    let v4_tops: Vec<&crate::tops::TopCommunities> = report
-        .snapshots
-        .iter()
-        .filter(|s| s.afi == Afi::Ipv4)
-        .map(|s| &s.fig5)
-        .collect();
-    if v4_tops.len() >= 2 {
-        report.overlap_v4 = Some(target_overlap_from_tops(&v4_tops));
-    }
-    report
+    FullReport::from_units(computed.into_iter().flatten().collect())
 }
 
 impl FullReport {
+    /// Wrap finished unit reports, adding the §5.4 overlap from the
+    /// Fig. 5 rankings they already hold (when ≥ 2 IPv4 units exist).
+    pub(crate) fn from_units(snapshots: Vec<SnapshotReport>) -> Self {
+        let v4_tops: Vec<&TopCommunities> = snapshots
+            .iter()
+            .filter(|s| s.afi == Afi::Ipv4)
+            .map(|s| &s.fig5)
+            .collect();
+        let overlap_v4 = (v4_tops.len() >= 2).then(|| target_overlap_from_tops(&v4_tops));
+        FullReport {
+            snapshots,
+            overlap_v4,
+        }
+    }
+
     /// The report for one (IXP, family).
     pub fn get(&self, ixp: IxpId, afi: Afi) -> Option<&SnapshotReport> {
         self.snapshots.iter().find(|r| r.ixp == ixp && r.afi == afi)
@@ -184,6 +194,30 @@ mod tests {
         let js = serde_json::to_string(&report).unwrap();
         let back: FullReport = serde_json::from_str(&js).unwrap();
         assert_eq!(back, report);
+    }
+
+    #[test]
+    fn route_order_does_not_change_the_report() {
+        let scenario = ixp_sim::scenario::run(&ixp_sim::scenario::ScenarioConfig {
+            world: ixp_sim::world::WorldConfig {
+                seed: 7,
+                scale: 0.02,
+            },
+            ixps: vec![IxpId::Netnod],
+            ..Default::default()
+        });
+        let dicts = vec![(IxpId::Netnod, schemes::dictionary(IxpId::Netnod))];
+        let mut reversed = SnapshotStore::new();
+        for snap in scenario.store.iter() {
+            assert!(snap.routes.len() > 1);
+            let mut snap = snap.clone();
+            snap.routes.reverse();
+            reversed.insert(snap);
+        }
+        assert_eq!(
+            serde_json::to_string(&full_report(&scenario.store, &dicts)).unwrap(),
+            serde_json::to_string(&full_report(&reversed, &dicts)).unwrap()
+        );
     }
 
     #[test]

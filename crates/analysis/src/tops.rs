@@ -49,11 +49,10 @@ pub struct TopCommunities {
 }
 
 impl TopCommunities {
-    /// Rank accumulated per-community counts — the single ranking and
-    /// labelling path shared by the batch scan and the incremental
-    /// engine. `counts` holds only the in-scope communities (already
-    /// filtered for Fig. 6); `total_all` is the count of *all* action
-    /// instances, the paper's share denominator for both figures.
+    /// Rank and label accumulated per-community counts (ties rank by
+    /// ascending value). `counts` holds only the in-scope communities
+    /// (already filtered for Fig. 6); `total_all` is the count of *all*
+    /// action instances, the paper's share denominator for both figures.
     pub fn from_counts(
         ixp: IxpId,
         afi: Afi,
@@ -103,27 +102,24 @@ impl TopCommunities {
     }
 }
 
-fn rank_communities(view: &View<'_>, limit: usize, only_nonmember_targets: bool) -> TopCommunities {
-    let mut counts: BTreeMap<StandardCommunity, (Action, u64)> = BTreeMap::new();
-    let mut total_all = 0u64;
-    for (_, _, community, action) in view.action_instances() {
-        total_all += 1;
-        if only_nonmember_targets && !view.is_ineffective(&action) {
-            continue;
-        }
-        counts.entry(community).or_insert((action, 0)).1 += 1;
-    }
-    TopCommunities::from_counts(view.snap.ixp, view.snap.afi, counts, total_all, limit)
+/// The top-20 of the action communities `in_scope` keeps.
+fn top20(view: &View, in_scope: impl Fn(&Action) -> bool) -> TopCommunities {
+    let counts = view
+        .action_communities()
+        .filter(|(_, action, _)| in_scope(action))
+        .map(|(community, action, n)| (community, (action, n)))
+        .collect();
+    TopCommunities::from_counts(view.ixp, view.afi, counts, view.std_action, 20)
 }
 
 /// Fig. 5: the top-20 action communities.
-pub fn fig5(view: &View<'_>) -> TopCommunities {
-    rank_communities(view, 20, false)
+pub fn fig5(view: &View) -> TopCommunities {
+    top20(view, |_| true)
 }
 
 /// Fig. 6: the top-20 action communities targeting non-RS members.
-pub fn fig6(view: &View<'_>) -> TopCommunities {
-    rank_communities(view, 20, true)
+pub fn fig6(view: &View) -> TopCommunities {
+    top20(view, |action| view.is_ineffective(action))
 }
 
 /// §5.5 headline: the ineffective share.
@@ -151,27 +147,27 @@ impl Ineffective {
 }
 
 /// Compute the §5.5 shares.
-pub fn ineffective(view: &View<'_>) -> Ineffective {
-    let mut total = 0u64;
-    let mut bad = 0u64;
-    for (_, _, _, action) in view.action_instances() {
-        total += 1;
-        if view.is_ineffective(&action) {
-            bad += 1;
-        }
-    }
-    let top20 = fig5(view);
-    let top20_nonmember = top20
-        .top
-        .iter()
-        .filter(|r| view.is_ineffective(&r.action))
-        .count();
+pub fn ineffective(view: &View) -> Ineffective {
+    ineffective_given(view, &fig5(view))
+}
+
+/// [`ineffective`] for a caller that already holds `view`'s Fig. 5
+/// ranking (the report assembly), sparing a second sort.
+pub(crate) fn ineffective_given(view: &View, fig5: &TopCommunities) -> Ineffective {
     Ineffective {
-        ixp: view.snap.ixp,
-        afi: view.snap.afi,
-        total_actions: total,
-        ineffective: bad,
-        top20_nonmember_count: top20_nonmember,
+        ixp: view.ixp,
+        afi: view.afi,
+        total_actions: view.std_action,
+        ineffective: view
+            .action_communities()
+            .filter(|(_, action, _)| view.is_ineffective(action))
+            .map(|(_, _, n)| n)
+            .sum(),
+        top20_nonmember_count: fig5
+            .top
+            .iter()
+            .filter(|r| view.is_ineffective(&r.action))
+            .count(),
     }
 }
 
@@ -202,9 +198,8 @@ pub struct Fig7 {
 }
 
 impl Fig7 {
-    /// Rank accumulated per-AS ineffective-instance counts (shared by
-    /// the batch scan and the incremental engine — one sort, one
-    /// labelling, one `pct`, identical bytes).
+    /// Rank and label accumulated per-AS ineffective-instance counts
+    /// (ties rank by ascending ASN).
     pub fn from_per_as(ixp: IxpId, afi: Afi, per_as: BTreeMap<Asn, u64>, limit: usize) -> Self {
         let total: u64 = per_as.values().sum();
         let mut ranked: Vec<(Asn, u64)> = per_as.into_iter().collect();
@@ -228,14 +223,14 @@ impl Fig7 {
 }
 
 /// Compute Fig. 7 (top `limit` culprits).
-pub fn fig7(view: &View<'_>, limit: usize) -> Fig7 {
+pub fn fig7(view: &View, limit: usize) -> Fig7 {
     let mut per_as: BTreeMap<Asn, u64> = BTreeMap::new();
-    for (asn, _, _, action) in view.action_instances() {
+    for (asn, action, n) in view.tagger_actions() {
         if view.is_ineffective(&action) {
-            *per_as.entry(asn).or_insert(0) += 1;
+            *per_as.entry(asn).or_insert(0) += n;
         }
     }
-    Fig7::from_per_as(view.snap.ixp, view.snap.afi, per_as, limit)
+    Fig7::from_per_as(view.ixp, view.afi, per_as, limit)
 }
 
 #[cfg(test)]

@@ -19,6 +19,8 @@
 //! there is no point simulating a configuration the verifier can
 //! already prove broken.
 
+use std::collections::BTreeMap;
+
 use bgp_model::prefix::Afi;
 use community_dict::action::ActionGroup;
 use community_dict::dictionary::Dictionary;
@@ -28,21 +30,47 @@ use community_dict::known;
 use analysis::prelude::*;
 use bench::{paper, standard_scenario, AFIS};
 use ixp_sim::timeline::{generate_all, TimelineConfig};
-use looking_glass::snapshot::{Snapshot, SnapshotStore};
+use looking_glass::snapshot::SnapshotStore;
 
 struct Ctx {
     store: SnapshotStore,
     dicts: Vec<(IxpId, Dictionary)>,
+    /// The aggregates of every (IXP, family) in `store`, folded once per
+    /// run; every `run_*` experiment reads its figures off these.
+    views: BTreeMap<(IxpId, Afi), View>,
     ixps: Vec<IxpId>,
     seed: u64,
     csv_dir: Option<std::path::PathBuf>,
 }
 
 impl Ctx {
-    fn view(&self, ixp: IxpId, afi: Afi) -> Option<(View<'_>, &Snapshot)> {
-        let snap = self.store.latest(ixp, afi)?;
-        let dict = &self.dicts.iter().find(|(i, _)| *i == ixp)?.1;
-        Some((View::new(snap, dict), snap))
+    fn new(
+        store: SnapshotStore,
+        dicts: Vec<(IxpId, Dictionary)>,
+        ixps: Vec<IxpId>,
+        seed: u64,
+        csv_dir: Option<std::path::PathBuf>,
+    ) -> Self {
+        let views = dicts
+            .iter()
+            .flat_map(|(ixp, dict)| AFIS.map(|afi| (*ixp, afi, dict)))
+            .filter_map(|(ixp, afi, dict)| {
+                let snap = store.latest(ixp, afi)?;
+                Some(((ixp, afi), View::new(snap, dict)))
+            })
+            .collect();
+        Ctx {
+            store,
+            dicts,
+            views,
+            ixps,
+            seed,
+            csv_dir,
+        }
+    }
+
+    fn view(&self, ixp: IxpId, afi: Afi) -> Option<&View> {
+        self.views.get(&(ixp, afi))
     }
 
     /// Write one figure's data series as CSV under --csv DIR.
@@ -211,21 +239,16 @@ fn main() {
             let _stage = registry.histogram(obs::names::REPRO_BUILD_WORLD).start();
             standard_scenario(seed, scale, &ixps)
         };
-        Ctx {
-            store,
-            dicts: ixps.iter().copied().zip(dicts).collect(),
-            ixps: ixps.clone(),
-            seed,
-            csv_dir: csv_dir.clone(),
-        }
+        let dicts = ixps.iter().copied().zip(dicts).collect();
+        Ctx::new(store, dicts, ixps.clone(), seed, csv_dir.clone())
     } else {
-        Ctx {
-            store: SnapshotStore::new(),
-            dicts: Vec::new(),
-            ixps: ixps.clone(),
+        Ctx::new(
+            SnapshotStore::new(),
+            Vec::new(),
+            ixps.clone(),
             seed,
-            csv_dir: csv_dir.clone(),
-        }
+            csv_dir.clone(),
+        )
     };
 
     if let Some(path) = &json_out {
@@ -538,10 +561,10 @@ fn run_fig1(ctx: &Ctx) {
     );
     for ixp in &ctx.ixps {
         for afi in AFIS {
-            let Some((view, _)) = ctx.view(*ixp, afi) else {
+            let Some(view) = ctx.view(*ixp, afi) else {
                 continue;
             };
-            let f = fig1(&view);
+            let f = fig1(view);
             let paper = if afi == Afi::Ipv4 {
                 paper::fig1_v4(*ixp)
                     .map(|(d, u)| format!("{d:.1}/{u:.1}"))
@@ -589,10 +612,10 @@ fn run_fig2(ctx: &Ctx) {
     );
     for ixp in &ctx.ixps {
         for afi in AFIS {
-            let Some((view, _)) = ctx.view(*ixp, afi) else {
+            let Some(view) = ctx.view(*ixp, afi) else {
                 continue;
             };
-            let f = fig2(&view);
+            let f = fig2(view);
             let paper = if afi == Afi::Ipv4 {
                 paper::fig2_standard_v4(*ixp)
                     .map(|p| format!("{p:.1}"))
@@ -628,10 +651,10 @@ fn run_fig3(ctx: &Ctx) {
     );
     for ixp in &ctx.ixps {
         for afi in AFIS {
-            let Some((view, _)) = ctx.view(*ixp, afi) else {
+            let Some(view) = ctx.view(*ixp, afi) else {
                 continue;
             };
-            let f = fig3(&view);
+            let f = fig3(view);
             let paper = if afi == Afi::Ipv4 {
                 paper::fig3_v4(*ixp)
                     .map(|(a, i)| format!("{a:.1}/{i:.1}"))
@@ -667,10 +690,10 @@ fn run_fig4a(ctx: &Ctx) {
     );
     for ixp in &ctx.ixps {
         for afi in AFIS {
-            let Some((view, _)) = ctx.view(*ixp, afi) else {
+            let Some(view) = ctx.view(*ixp, afi) else {
                 continue;
             };
-            let f = fig4a(&view);
+            let f = fig4a(view);
             let paper = if afi == Afi::Ipv4 {
                 paper::fig4a(*ixp)
                     .map(|(a4, a6, r4)| format!("{a4:.1}/{a6:.1}, {r4:.1}"))
@@ -706,10 +729,10 @@ fn run_fig4b(ctx: &Ctx) {
         ],
     );
     for ixp in &ctx.ixps {
-        let Some((view, _)) = ctx.view(*ixp, Afi::Ipv4) else {
+        let Some(view) = ctx.view(*ixp, Afi::Ipv4) else {
             continue;
         };
-        let f = fig4b(&view);
+        let f = fig4b(view);
         let paper = paper::fig4b_top1pct(*ixp)
             .map(|p| format!("~{:.0}%", p * 100.0))
             .unwrap_or_default();
@@ -751,10 +774,10 @@ fn run_fig4c(ctx: &Ctx) {
         ],
     );
     for ixp in &ctx.ixps {
-        let Some((view, _)) = ctx.view(*ixp, Afi::Ipv4) else {
+        let Some(view) = ctx.view(*ixp, Afi::Ipv4) else {
             continue;
         };
-        let f = fig4c(&view);
+        let f = fig4c(view);
         let (ul, br) = f.asymmetry();
         t.row([
             ixp.short_name().to_string(),
@@ -801,10 +824,10 @@ fn run_table2(ctx: &Ctx) {
     );
     for ixp in &ctx.ixps {
         for afi in AFIS {
-            let Some((view, _)) = ctx.view(*ixp, afi) else {
+            let Some(view) = ctx.view(*ixp, afi) else {
                 continue;
             };
-            let tb = table2(&view);
+            let tb = table2(view);
             let cell = |g: ActionGroup| format!("{} ({})", tb.count(g), pct1(tb.pct(g)));
             let paper = if afi == Afi::Ipv4 {
                 paper::table2_v4(*ixp)
@@ -842,10 +865,10 @@ fn run_type_counts(ctx: &Ctx) {
     );
     for ixp in &ctx.ixps {
         for afi in AFIS {
-            let Some((view, _)) = ctx.view(*ixp, afi) else {
+            let Some(view) = ctx.view(*ixp, afi) else {
                 continue;
             };
-            let tc = type_counts(&view);
+            let tc = type_counts(view);
             t.row([
                 ixp.short_name().to_string(),
                 afi.to_string(),
@@ -865,10 +888,10 @@ fn run_type_counts(ctx: &Ctx) {
 fn run_fig5(ctx: &Ctx) {
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
     for ixp in &ctx.ixps {
-        let Some((view, _)) = ctx.view(*ixp, Afi::Ipv4) else {
+        let Some(view) = ctx.view(*ixp, Afi::Ipv4) else {
             continue;
         };
-        let f = fig5(&view);
+        let f = fig5(view);
         let mut t = TextTable::new(
             format!(
                 "Fig. 5 — top-20 action communities at {} (IPv4, total {})",
@@ -908,10 +931,10 @@ fn run_fig5(ctx: &Ctx) {
 
 fn run_fig6(ctx: &Ctx) {
     for ixp in &ctx.ixps {
-        let Some((view, _)) = ctx.view(*ixp, Afi::Ipv4) else {
+        let Some(view) = ctx.view(*ixp, Afi::Ipv4) else {
             continue;
         };
-        let f = fig6(&view);
+        let f = fig6(view);
         let mut t = TextTable::new(
             format!(
                 "Fig. 6 — top-20 action communities targeting non-RS members at {} (IPv4, total {})",
@@ -950,10 +973,10 @@ fn run_ineffective(ctx: &Ctx) {
     );
     for ixp in &ctx.ixps {
         for afi in AFIS {
-            let Some((view, _)) = ctx.view(*ixp, afi) else {
+            let Some(view) = ctx.view(*ixp, afi) else {
                 continue;
             };
-            let i = ineffective(&view);
+            let i = ineffective(view);
             let paper = match afi {
                 Afi::Ipv4 => paper::ineffective_v4(*ixp),
                 Afi::Ipv6 => paper::ineffective_v6(*ixp),
@@ -976,10 +999,10 @@ fn run_ineffective(ctx: &Ctx) {
 fn run_fig7(ctx: &Ctx) {
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
     for ixp in &ctx.ixps {
-        let Some((view, _)) = ctx.view(*ixp, Afi::Ipv4) else {
+        let Some(view) = ctx.view(*ixp, Afi::Ipv4) else {
             continue;
         };
-        let f = fig7(&view, 10);
+        let f = fig7(view, 10);
         let mut t = TextTable::new(
             format!(
                 "Fig. 7 — top-10 ASes tagging non-RS-member targets at {} (IPv4, total {})",
@@ -1145,12 +1168,12 @@ fn run_sanitation(ctx: &Ctx) {
 
 fn run_overlap(ctx: &Ctx) {
     // §5.4: intersections of the top-20 avoid targets across IXPs
-    let views: Vec<View<'_>> = ctx
+    let tops: Vec<TopCommunities> = ctx
         .ixps
         .iter()
-        .filter_map(|ixp| ctx.view(*ixp, Afi::Ipv4).map(|(v, _)| v))
+        .filter_map(|ixp| ctx.view(*ixp, Afi::Ipv4).map(fig5))
         .collect();
-    let ov = analysis::overlap::target_overlap(&views);
+    let ov = target_overlap_from_tops(&tops.iter().collect::<Vec<_>>());
     let mut t = TextTable::new(
         "§5.4 — cross-IXP intersection of top-20 avoid targets (IPv4)",
         &["Pair", "Shared targets"],
@@ -1322,8 +1345,8 @@ fn run_stream(master_seed: u64, incremental: bool) {
             .counter(obs::names::ANALYSIS_INCREMENTAL_DELTAS)
             .add(outcome.incremental_deltas);
         println!(
-            "incremental: {} delta(s) consumed; per-day finalize vs batch recompute:",
-            outcome.incremental_deltas
+            "incremental: {} delta(s) consumed, {} underflow(s); per-day finalize vs batch recompute:",
+            outcome.incremental_deltas, outcome.incremental_underflows
         );
         let (mut inc_total, mut batch_total) = (0u64, 0u64);
         for rec in &outcome.days {

@@ -32,7 +32,7 @@ fn world() -> &'static (SnapshotStore, Vec<Dictionary>) {
     WORLD.get_or_init(|| standard_scenario(GOLDEN_SEED, GOLDEN_SCALE, &[GOLDEN_IXP]))
 }
 
-fn views() -> Vec<(View<'static>, Afi)> {
+fn views() -> Vec<(View, Afi)> {
     let (store, dicts) = world();
     AFIS.iter()
         .filter_map(|afi| {

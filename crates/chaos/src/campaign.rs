@@ -339,6 +339,9 @@ pub struct StreamCampaignOutcome {
     pub stream_stats: stream::state::StreamStats,
     /// Store deltas the incremental report engine consumed.
     pub incremental_deltas: u64,
+    /// Retracts the engine was asked to take below zero (see
+    /// `IncrementalReport::underflows`).
+    pub incremental_underflows: u64,
     /// Frames the feed ever minted (replays re-serve, they do not mint).
     pub frames_minted: u64,
     /// Total logical time the campaign consumed.
@@ -535,6 +538,9 @@ pub fn run_stream_campaign(
     let m = crate::metrics::handles();
     m.campaigns.inc();
     m.virtual_ms.record(virtual_ms);
+    obs::global()
+        .counter(obs::names::ANALYSIS_INCREMENTAL_UNDERFLOW)
+        .add(inc.underflows());
 
     StreamCampaignOutcome {
         days,
@@ -543,6 +549,7 @@ pub fn run_stream_campaign(
         stats,
         stream_stats: state.stats(),
         incremental_deltas: inc.deltas_applied(),
+        incremental_underflows: inc.underflows(),
         frames_minted: lg.stream_frames_minted(),
         virtual_ms,
         dataset_hash: hash,

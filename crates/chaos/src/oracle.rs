@@ -129,6 +129,14 @@ pub enum Violation {
         /// Fingerprint of the recomputed batch report.
         batch: u64,
     },
+    /// The incremental engine was asked to retract a contribution it
+    /// never applied: some counter would have gone below zero. The
+    /// reports can still agree afterwards (the counter is left at zero),
+    /// so this is checked on its own.
+    IncrementalUnderflow {
+        /// Retracts that found their counter already at zero.
+        underflows: u64,
+    },
 }
 
 impl fmt::Display for Violation {
@@ -198,6 +206,10 @@ impl fmt::Display for Violation {
             } => write!(
                 f,
                 "day {day}: incremental report diverged: {incremental:#018x} != batch {batch:#018x}"
+            ),
+            Violation::IncrementalUnderflow { underflows } => write!(
+                f,
+                "incremental engine retracted below zero {underflows} time(s)"
             ),
         }
     }
@@ -488,6 +500,14 @@ pub fn check_stream_campaign(
     let minted = outcome.frames_minted;
     if applied != minted {
         violations.push(Violation::StreamConservationBroken { applied, minted });
+    }
+    // every retract must follow its apply (under the
+    // `disable_retraction` fixture no retract runs at all, so the count
+    // is trivially zero there and needs no exemption)
+    if outcome.incremental_underflows > 0 {
+        violations.push(Violation::IncrementalUnderflow {
+            underflows: outcome.incremental_underflows,
+        });
     }
     if !violations.is_empty() {
         let m = crate::metrics::handles();

@@ -56,6 +56,18 @@ impl ActionGroup {
         ActionGroup::PrependTo,
         ActionGroup::Blackhole,
     ];
+
+    /// Position of this group in [`ActionGroup::ALL`] — the index of its
+    /// slot in per-group counter arrays. An exhaustive `match`, so a new
+    /// group cannot compile without choosing its slot.
+    pub const fn index(self) -> usize {
+        match self {
+            ActionGroup::DoNotAnnounceTo => 0,
+            ActionGroup::AnnounceOnlyTo => 1,
+            ActionGroup::PrependTo => 2,
+            ActionGroup::Blackhole => 3,
+        }
+    }
 }
 
 impl fmt::Display for ActionGroup {
@@ -195,5 +207,13 @@ mod tests {
                 ActionGroup::Blackhole,
             ]
         );
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, g) in ActionGroup::ALL.iter().enumerate() {
+            assert_eq!(g.index(), i);
+            assert_eq!(ActionGroup::ALL[g.index()], *g);
+        }
     }
 }

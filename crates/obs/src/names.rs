@@ -190,6 +190,9 @@ pub const ANALYSIS_REPORT_UNIT: &str = "analysis.report_unit";
 pub const ANALYSIS_INCREMENTAL_REPORT: &str = "analysis.incremental.report";
 /// Deltas the incremental engine consumed from the stream store.
 pub const ANALYSIS_INCREMENTAL_DELTAS: &str = "analysis.incremental.deltas";
+/// Retracts the incremental engine was asked to take below zero — 0
+/// unless a route was retracted without having been applied.
+pub const ANALYSIS_INCREMENTAL_UNDERFLOW: &str = "analysis.incremental.underflow";
 /// Histogram: nanoseconds to advance the engine by one day of churn and
 /// finalize (recorded by `repro stream --incremental`).
 pub const ANALYSIS_INCREMENTAL_DAY_NS: &str = "analysis.incremental.day_ns";
@@ -275,6 +278,7 @@ pub const ALL: &[&str] = &[
     ANALYSIS_REPORT_UNIT,
     ANALYSIS_INCREMENTAL_REPORT,
     ANALYSIS_INCREMENTAL_DELTAS,
+    ANALYSIS_INCREMENTAL_UNDERFLOW,
     ANALYSIS_INCREMENTAL_DAY_NS,
     ANALYSIS_BATCH_DAY_NS,
     REPRO_BUILD_WORLD,

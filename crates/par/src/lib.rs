@@ -329,12 +329,16 @@ mod tests {
 
     #[test]
     fn pool_metrics_account_for_all_tasks() {
+        // the counters are process-global: read them under the same lock
+        // that serializes every other pool user in this test binary
         let items: Vec<u64> = (0..64).collect();
-        let before = obs::global().counter(obs::names::PAR_TASKS).get();
-        with_threads(4, || map_indexed(&items, |_, &x| x + 1));
-        let after = obs::global().counter(obs::names::PAR_TASKS).get();
-        assert_eq!(after - before, 64);
-        assert_eq!(obs::global().gauge(obs::names::PAR_QUEUE_DEPTH).get(), 0);
+        with_threads(4, || {
+            let before = obs::global().counter(obs::names::PAR_TASKS).get();
+            map_indexed(&items, |_, &x| x + 1);
+            let after = obs::global().counter(obs::names::PAR_TASKS).get();
+            assert_eq!(after - before, 64);
+            assert_eq!(obs::global().gauge(obs::names::PAR_QUEUE_DEPTH).get(), 0);
+        });
     }
 
     #[test]
@@ -347,10 +351,11 @@ mod tests {
         // the stealing path. (This is the output-invariance argument
         // backing the SC111 waiver for crates/par in staticheck.toml.)
         let items: Vec<u64> = (0..193).collect();
+        // (counters read under the pool lock, as in the test above)
         for round in 0..16 {
-            let tasks_before = obs::global().counter(obs::names::PAR_TASKS).get();
-            let steals_before = obs::global().counter(obs::names::PAR_STEALS).get();
             with_threads(4, || {
+                let tasks_before = obs::global().counter(obs::names::PAR_TASKS).get();
+                let steals_before = obs::global().counter(obs::names::PAR_STEALS).get();
                 map_indexed(&items, |i, &x| {
                     // spin longer on a sliding band of indices so block
                     // ownership and completion order diverge each round
@@ -360,16 +365,16 @@ mod tests {
                         h = h.wrapping_mul(0x100_0000_01b3).rotate_left(7);
                     }
                     h
-                })
+                });
+                let tasks = obs::global().counter(obs::names::PAR_TASKS).get() - tasks_before;
+                let steals = obs::global().counter(obs::names::PAR_STEALS).get() - steals_before;
+                assert_eq!(tasks, 193, "round {round}: every index exactly once");
+                assert!(
+                    steals <= tasks,
+                    "round {round}: steals {steals} > tasks {tasks}"
+                );
+                assert_eq!(obs::global().gauge(obs::names::PAR_QUEUE_DEPTH).get(), 0);
             });
-            let tasks = obs::global().counter(obs::names::PAR_TASKS).get() - tasks_before;
-            let steals = obs::global().counter(obs::names::PAR_STEALS).get() - steals_before;
-            assert_eq!(tasks, 193, "round {round}: every index exactly once");
-            assert!(
-                steals <= tasks,
-                "round {round}: steals {steals} > tasks {tasks}"
-            );
-            assert_eq!(obs::global().gauge(obs::names::PAR_QUEUE_DEPTH).get(), 0);
         }
     }
 

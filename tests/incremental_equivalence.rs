@@ -87,6 +87,10 @@ fn incremental_report_matches_batch_over_84_chaotic_days() {
             outcome.incremental_deltas > 0,
             "the incremental engine consumed no deltas — not wired up"
         );
+        assert_eq!(
+            outcome.incremental_underflows, 0,
+            "a retract without a matching apply at PAR_THREADS={threads} (seed={SEED})"
+        );
     }
 
     // and the per-day report fingerprints are bit-identical across pool
