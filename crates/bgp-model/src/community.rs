@@ -340,6 +340,8 @@ impl fmt::Display for Community {
 
 // Serialize standard and large communities as their conventional text form;
 // extended as hex bytes. Snapshots stay human-readable like real LG output.
+// Every impl writes through `collect_str` and reads through `take_str`, so a
+// community crosses the JSON boundary without a `String` of its own.
 impl Serialize for StandardCommunity {
     fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
         s.collect_str(self)
@@ -348,8 +350,7 @@ impl Serialize for StandardCommunity {
 
 impl<'de> Deserialize<'de> for StandardCommunity {
     fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let s = String::deserialize(d)?;
-        s.parse().map_err(de::Error::custom)
+        d.take_str(|s| s.parse().map_err(de::Error::custom))
     }
 }
 
@@ -361,8 +362,15 @@ impl Serialize for LargeCommunity {
 
 impl<'de> Deserialize<'de> for LargeCommunity {
     fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let s = String::deserialize(d)?;
-        s.parse().map_err(de::Error::custom)
+        d.take_str(|s| s.parse().map_err(de::Error::custom))
+    }
+}
+
+/// The serialized form of an extended community: its eight bytes as 16
+/// lowercase hex digits (`Display` is the human-readable `ext:..` form).
+impl fmt::LowerHex for ExtendedCommunity {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{:016x}", u64::from_be_bytes(self.0))
     }
 }
 
@@ -370,63 +378,54 @@ fn parse_extended_hex(s: &str) -> Result<ExtendedCommunity, ParseCommunityError>
     if s.len() != 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
         return Err(ParseCommunityError(s.to_string()));
     }
-    let mut b = [0u8; 8];
-    for (i, chunk) in s.as_bytes().chunks(2).enumerate() {
-        let hx = std::str::from_utf8(chunk).map_err(|_| ParseCommunityError(s.to_string()))?;
-        b[i] = u8::from_str_radix(hx, 16).map_err(|_| ParseCommunityError(s.to_string()))?;
-    }
-    Ok(ExtendedCommunity(b))
+    let raw = u64::from_str_radix(s, 16).map_err(|_| ParseCommunityError(s.to_string()))?;
+    Ok(ExtendedCommunity(raw.to_be_bytes()))
 }
 
 impl Serialize for ExtendedCommunity {
     fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        let hex: String = self.0.iter().map(|b| format!("{b:02x}")).collect();
-        s.serialize_str(&hex)
+        s.collect_str(&format_args!("{self:x}"))
     }
 }
 
 impl<'de> Deserialize<'de> for ExtendedCommunity {
     fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let s = String::deserialize(d)?;
-        parse_extended_hex(&s).map_err(de::Error::custom)
+        d.take_str(|s| parse_extended_hex(s).map_err(de::Error::custom))
     }
 }
 
 impl Serialize for Community {
     fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
         // Tag with a single-character prefix so the three spaces can't collide.
-        let text = match self {
-            Community::Standard(c) => format!("s:{c}"),
-            Community::Extended(c) => {
-                let hex: String = c.0.iter().map(|b| format!("{b:02x}")).collect();
-                format!("e:{hex}")
-            }
-            Community::Large(c) => format!("l:{c}"),
-        };
-        s.serialize_str(&text)
+        match self {
+            Community::Standard(c) => s.collect_str(&format_args!("s:{c}")),
+            Community::Extended(c) => s.collect_str(&format_args!("e:{c:x}")),
+            Community::Large(c) => s.collect_str(&format_args!("l:{c}")),
+        }
     }
 }
 
 impl<'de> Deserialize<'de> for Community {
     fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let s = String::deserialize(d)?;
-        let (tag, body) = s
-            .split_once(':')
-            .ok_or_else(|| de::Error::custom("missing community tag"))?;
-        match tag {
-            "s" => body
-                .parse::<StandardCommunity>()
-                .map(Community::Standard)
-                .map_err(de::Error::custom),
-            "l" => body
-                .parse::<LargeCommunity>()
-                .map(Community::Large)
-                .map_err(de::Error::custom),
-            "e" => parse_extended_hex(body)
-                .map(Community::Extended)
-                .map_err(de::Error::custom),
-            _ => Err(de::Error::custom("unknown community tag")),
-        }
+        d.take_str(|s| {
+            let (tag, body) = s
+                .split_once(':')
+                .ok_or_else(|| de::Error::custom("missing community tag"))?;
+            match tag {
+                "s" => body
+                    .parse::<StandardCommunity>()
+                    .map(Community::Standard)
+                    .map_err(de::Error::custom),
+                "l" => body
+                    .parse::<LargeCommunity>()
+                    .map(Community::Large)
+                    .map_err(de::Error::custom),
+                "e" => parse_extended_hex(body)
+                    .map(Community::Extended)
+                    .map_err(de::Error::custom),
+                _ => Err(de::Error::custom("unknown community tag")),
+            }
+        })
     }
 }
 

@@ -335,8 +335,7 @@ impl Serialize for Prefix {
 
 impl<'de> Deserialize<'de> for Prefix {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let s = String::deserialize(deserializer)?;
-        s.parse().map_err(de::Error::custom)
+        deserializer.take_str(|s| s.parse().map_err(de::Error::custom))
     }
 }
 

@@ -10,6 +10,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use bgp_model::prefix::Afi;
+use bgp_model::route::Route;
 
 use route_server::events::RibEvent;
 use route_server::server::RouteServer;
@@ -321,25 +322,35 @@ impl LgServer {
         if !rs.is_member(peer) {
             return Err(LgError::UnknownPeer(peer));
         }
-        let all: Vec<bgp_model::route::Route> = if filtered {
-            rs.filtered()
-                .iter()
-                .filter(|f| f.peer == peer && f.route.afi() == afi)
-                .map(|f| f.route.clone())
-                .collect()
-        } else {
-            rs.accepted()
-                .peer(peer)
-                .map(|t| t.iter_afi(afi).cloned().collect())
-                .unwrap_or_default()
+        // The table is walked twice — once to count, once to the page —
+        // so only the page's routes are ever cloned, not the whole table
+        // once per page.
+        let table = || -> Box<dyn Iterator<Item = &Route> + '_> {
+            if filtered {
+                Box::new(
+                    rs.filtered()
+                        .iter()
+                        .filter(move |f| f.peer == peer && f.route.afi() == afi)
+                        .map(|f| &f.route),
+                )
+            } else {
+                Box::new(
+                    rs.accepted()
+                        .peer(peer)
+                        .into_iter()
+                        .flat_map(move |t| t.iter_afi(afi)),
+                )
+            }
         };
-        let total_pages = all.len().div_ceil(PAGE_SIZE).max(1);
+        let total_pages = table().count().div_ceil(PAGE_SIZE).max(1);
         if page >= total_pages {
             return Err(LgError::PageOutOfRange { page, total_pages });
         }
-        let start = page * PAGE_SIZE;
-        let end = (start + PAGE_SIZE).min(all.len());
-        let mut routes = all[start..end].to_vec();
+        let mut routes: Vec<Route> = table()
+            .skip(page * PAGE_SIZE)
+            .take(PAGE_SIZE)
+            .cloned()
+            .collect();
         if truncate && routes.len() > 1 {
             // silent partial data: drop the tail of the page
             routes.truncate(routes.len() / 2);
@@ -357,7 +368,6 @@ impl LgServer {
 mod tests {
     use super::*;
     use bgp_model::asn::Asn;
-    use bgp_model::route::Route;
     use community_dict::ixp::IxpId;
 
     fn setup(seed: u64) -> LgServer {
@@ -451,6 +461,127 @@ mod tests {
             ),
             Err(LgError::UnknownPeer(Asn(7)))
         );
+    }
+
+    /// Every page of one table, concatenated, and the page count the
+    /// server reported (checked equal on every page, as is the bound).
+    fn all_pages(lg: &LgServer, peer: Asn, afi: Afi, filtered: bool) -> (Vec<Route>, usize) {
+        let request = |page| LgRequest::Routes {
+            peer,
+            afi,
+            filtered,
+            page,
+        };
+        let mut all = Vec::new();
+        let mut pages = 1;
+        let mut page = 0;
+        while page < pages {
+            let LgResponse::Routes {
+                routes,
+                page: served,
+                total_pages,
+            } = lg.handle(&request(page), 0).unwrap()
+            else {
+                panic!()
+            };
+            assert_eq!(served, page);
+            assert!(page == 0 || total_pages == pages);
+            let full = page + 1 < total_pages;
+            assert!(routes.len() <= PAGE_SIZE && (!full || routes.len() == PAGE_SIZE));
+            pages = total_pages;
+            all.extend(routes);
+            page += 1;
+        }
+        assert_eq!(
+            lg.handle(&request(pages), 0),
+            Err(LgError::PageOutOfRange {
+                page: pages,
+                total_pages: pages
+            })
+        );
+        (all, pages)
+    }
+
+    #[test]
+    fn pages_partition_the_table_in_table_order() {
+        let mut rs = RouteServer::for_ixp(IxpId::Linx);
+        rs.add_member(Asn(39120), true, true);
+        rs.add_member(Asn(6939), true, true);
+        rs.add_member(Asn(15169), true, true);
+        // 600 accepted /24s and 520 filtered /25s (too specific) for the
+        // peer under test, announced out of prefix order and interleaved
+        // with another member's routes and with the other family
+        for i in (0..600u32).rev() {
+            let path = [39120, 3000 + i % 7];
+            let v4 = |len| {
+                format!("193.{}.{}.0/{len}", i / 200, i % 200)
+                    .parse()
+                    .unwrap()
+            };
+            let hop = "198.32.0.7".parse().unwrap();
+            rs.announce(Asn(39120), Route::builder(v4(24), hop).path(path).build());
+            if i < 520 {
+                rs.announce(Asn(39120), Route::builder(v4(25), hop).path(path).build());
+                rs.announce(Asn(6939), Route::builder(v4(26), hop).path([6939]).build());
+            }
+            if i < 3 {
+                let v6 = format!("2a01:4f8:{i:x}::/48").parse().unwrap();
+                let hop6 = "2001:7f8::7".parse().unwrap();
+                rs.announce(Asn(39120), Route::builder(v6, hop6).path(path).build());
+            }
+        }
+        let accepted: Vec<Route> = rs
+            .accepted()
+            .peer(Asn(39120))
+            .unwrap()
+            .iter_afi(Afi::Ipv4)
+            .cloned()
+            .collect();
+        let filtered: Vec<Route> = rs
+            .filtered()
+            .iter()
+            .filter(|f| f.peer == Asn(39120) && f.route.afi() == Afi::Ipv4)
+            .map(|f| f.route.clone())
+            .collect();
+        assert_eq!((accepted.len(), filtered.len()), (600, 520));
+        let lg = LgServer::new(Arc::new(RwLock::new(rs)), 7);
+        lg.set_limiter(RateLimiter::new(10_000, 1e9));
+
+        assert_eq!(all_pages(&lg, Asn(39120), Afi::Ipv4, false), (accepted, 3));
+        assert_eq!(all_pages(&lg, Asn(39120), Afi::Ipv4, true), (filtered, 3));
+        // the other family of the same peer is its own, one-page table
+        assert_eq!(all_pages(&lg, Asn(39120), Afi::Ipv6, false).0.len(), 3);
+        // empty tables serve exactly one empty page
+        for (peer, afi, filtered) in [
+            (Asn(15169), Afi::Ipv4, false),
+            (Asn(15169), Afi::Ipv4, true),
+            (Asn(39120), Afi::Ipv6, true),
+            (Asn(6939), Afi::Ipv4, false),
+        ] {
+            assert_eq!(all_pages(&lg, peer, afi, filtered), (vec![], 1));
+        }
+
+        // a truncated page is the first half of the honest one
+        let honest = |filtered| all_pages(&lg, Asn(39120), Afi::Ipv4, filtered).0;
+        let (honest_accepted, honest_filtered) = (honest(false), honest(true));
+        lg.set_failures(FailureModel {
+            error_rate: 0.0,
+            truncate_rate: 1.0,
+        });
+        for (filtered, honest) in [(false, honest_accepted), (true, honest_filtered)] {
+            for (page, whole) in honest.chunks(PAGE_SIZE).enumerate() {
+                let request = LgRequest::Routes {
+                    peer: Asn(39120),
+                    afi: Afi::Ipv4,
+                    filtered,
+                    page,
+                };
+                let LgResponse::Routes { routes, .. } = lg.handle(&request, 0).unwrap() else {
+                    panic!()
+                };
+                assert_eq!(routes, whole[..whole.len() / 2]);
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! (§3), not a high-fanout service.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -110,6 +110,63 @@ impl Drop for TcpLgServer {
     }
 }
 
+/// Longest request line the server reads (the largest real request is
+/// ~130 bytes). A longer one is answered with an error and the
+/// connection closed, so a peer cannot grow the buffer without bound.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+
+/// Longest response line the client reads: two orders of magnitude above
+/// the largest page the simulator serves (~150 KiB for 250 routes).
+pub const MAX_RESPONSE_LINE: usize = 16 * 1024 * 1024;
+
+/// Decode one request line, once: a frame is either a trace-wrapped
+/// request or a bare one (untraced clients keep working), told apart by
+/// the top-level `trace` key no bare request has.
+fn decode_frame(line: &str) -> Result<(Option<TraceContext>, LgRequest), serde_json::Error> {
+    let value = serde_json::parse_value(line)?;
+    let traced = matches!(&value, serde_json::Value::Map(m) if m.iter().any(|(k, _)| k == "trace"));
+    if traced {
+        let TracedRequest { trace, req } = serde_json::from_value(value)?;
+        Ok((Some(trace), req))
+    } else {
+        Ok((None, serde_json::from_value(value)?))
+    }
+}
+
+fn write_response(
+    writer: &mut TcpStream,
+    result: &Result<LgResponse, LgError>,
+) -> std::io::Result<()> {
+    let mut out = serde_json::to_string(result)
+        .unwrap_or_else(|e| format!("{{\"Err\":{{\"Transport\":\"encode: {e}\"}}}}"));
+    out.push('\n');
+    writer.write_all(out.as_bytes())?;
+    writer.flush()
+}
+
+/// Answer a frame that cannot be served, then hang up. The peer may
+/// still be sending: closing with its bytes unread resets the connection
+/// and can destroy the answer in flight, so the write side is shut first
+/// and input is discarded until the peer closes, goes quiet for one read
+/// timeout, has sent [`MAX_REQUEST_LINE`] more bytes, or a second passed.
+fn refuse(stream: &mut TcpStream, writer: &mut TcpStream, why: &str) -> std::io::Result<()> {
+    write_response(
+        writer,
+        &Err(LgError::Transport(format!("bad request: {why}"))),
+    )?;
+    writer.shutdown(Shutdown::Write)?;
+    let mut discarded = 0;
+    let mut chunk = [0u8; 4096];
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while discarded <= MAX_REQUEST_LINE && Instant::now() < deadline {
+        match stream.read(&mut chunk) {
+            Ok(n) if n > 0 => discarded += n,
+            _ => break,
+        }
+    }
+    Ok(())
+}
+
 fn serve_connection(
     lg: &LgServer,
     mut stream: TcpStream,
@@ -141,37 +198,39 @@ fn serve_connection(
             Err(e) => return Err(e),
         };
         buf.extend_from_slice(&chunk[..n]);
-        while let Some(pos) = buf.iter().position(|b| *b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line[..line.len() - 1]).into_owned();
+        // serve every complete line in place, then drop them in one move
+        let mut served = 0;
+        while let Some(len) = buf[served..].iter().position(|b| *b == b'\n') {
+            let line = &buf[served..served + len];
+            served += len + 1;
+            if line.len() > MAX_REQUEST_LINE {
+                return refuse(&mut stream, &mut writer, "line too long");
+            }
+            let Ok(line) = std::str::from_utf8(line) else {
+                return refuse(&mut stream, &mut writer, "line is not UTF-8");
+            };
             if line.trim().is_empty() {
                 continue;
             }
             let now_ms = start.elapsed().as_millis() as u64;
-            // A frame is either a trace-wrapped request or a bare one
-            // (untraced clients keep working); the two shapes cannot be
-            // confused, so try the wrapped form first.
-            let result: Result<LgResponse, LgError> =
-                match serde_json::from_str::<TracedRequest>(&line) {
-                    Ok(tr) => {
-                        let _ctx = obs::trace::adopt_wire(obs::trace::WireCtx {
-                            trace_id: tr.trace.trace_id,
-                            span_id: tr.trace.span_id,
-                            slot: tr.trace.slot,
-                        });
-                        let _span = obs::span!(obs::names::LG_SERVE);
-                        lg.handle(&tr.req, now_ms)
-                    }
-                    Err(_) => match serde_json::from_str::<LgRequest>(&line) {
-                        Ok(req) => lg.handle(&req, now_ms),
-                        Err(e) => Err(LgError::Transport(format!("bad request: {e}"))),
-                    },
-                };
-            let mut out = serde_json::to_string(&result)
-                .unwrap_or_else(|e| format!("{{\"Err\":{{\"Transport\":\"encode: {e}\"}}}}"));
-            out.push('\n');
-            writer.write_all(out.as_bytes())?;
-            writer.flush()?;
+            let result = match decode_frame(line) {
+                Ok((Some(trace), req)) => {
+                    let _ctx = obs::trace::adopt_wire(obs::trace::WireCtx {
+                        trace_id: trace.trace_id,
+                        span_id: trace.span_id,
+                        slot: trace.slot,
+                    });
+                    let _span = obs::span!(obs::names::LG_SERVE);
+                    lg.handle(&req, now_ms)
+                }
+                Ok((None, req)) => lg.handle(&req, now_ms),
+                Err(e) => Err(LgError::Transport(format!("bad request: {e}"))),
+            };
+            write_response(&mut writer, &result)?;
+        }
+        buf.drain(..served);
+        if buf.len() > MAX_REQUEST_LINE {
+            return refuse(&mut stream, &mut writer, "line too long");
         }
     }
 }
@@ -222,11 +281,15 @@ impl LgTransport for TcpLgClient {
             .flush()
             .map_err(|e| LgError::Transport(format!("flush: {e}")))?;
         let mut resp = String::new();
-        self.reader
+        (&mut self.reader)
+            .take(MAX_RESPONSE_LINE as u64)
             .read_line(&mut resp)
             .map_err(|e| LgError::Transport(format!("recv: {e}")))?;
         if resp.is_empty() {
             return Err(LgError::Transport("connection closed".into()));
+        }
+        if !resp.ends_with('\n') && resp.len() >= MAX_RESPONSE_LINE {
+            return Err(LgError::Transport("recv: response line too long".into()));
         }
         serde_json::from_str::<Result<LgResponse, LgError>>(&resp)
             .map_err(|e| LgError::Transport(format!("decode: {e}")))?
@@ -297,6 +360,131 @@ mod tests {
         reader.read_line(&mut line).unwrap();
         let result: Result<LgResponse, LgError> = serde_json::from_str(&line).unwrap();
         assert!(matches!(result, Err(LgError::Transport(_))));
+        server.stop();
+    }
+
+    /// Send raw bytes on a fresh connection; return the first response
+    /// line decoded, and the connection.
+    fn raw_exchange(
+        server: &TcpLgServer,
+        bytes: &[u8],
+    ) -> (Result<LgResponse, LgError>, BufReader<TcpStream>) {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        stream.write_all(bytes).unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        (
+            serde_json::from_str(&line).expect("a response line"),
+            reader,
+        )
+    }
+
+    /// True once the server has closed its side.
+    fn hung_up(mut reader: BufReader<TcpStream>) -> bool {
+        matches!(reader.read_line(&mut String::new()), Ok(0))
+    }
+
+    fn assert_still_serving(server: &TcpLgServer) {
+        let mut client = TcpLgClient::connect(server.addr()).unwrap();
+        assert!(client
+            .request(&LgRequest::Summary { afi: Afi::Ipv4 }, 0)
+            .is_ok());
+    }
+
+    fn bad_request(result: Result<LgResponse, LgError>) -> String {
+        match result {
+            Err(LgError::Transport(msg)) if msg.starts_with("bad request: ") => msg,
+            other => panic!("expected a bad-request transport error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn over_long_line_is_refused_and_the_connection_closed() {
+        let server = TcpLgServer::spawn(lg()).unwrap();
+        // no newline at all: the cap must bite before the frame ends
+        let (result, conn) = raw_exchange(&server, &vec![b'['; 100_000]);
+        assert!(bad_request(result).contains("too long"));
+        assert!(
+            hung_up(conn),
+            "the server must hang up on an over-long line"
+        );
+        // and a complete line just over the cap is refused the same way
+        let mut line = vec![b' '; MAX_REQUEST_LINE + 1];
+        line.push(b'\n');
+        let (result, conn) = raw_exchange(&server, &line);
+        assert!(bad_request(result).contains("too long"));
+        assert!(hung_up(conn));
+        assert_still_serving(&server);
+        server.stop();
+    }
+
+    #[test]
+    fn deeply_nested_line_is_an_error_not_a_stack_overflow() {
+        let server = TcpLgServer::spawn(lg()).unwrap();
+        // under the line cap, far over the parser's nesting cap: without
+        // the cap this overflows the worker's stack and aborts the process
+        let mut line = vec![b'['; 60_000];
+        line.push(b'\n');
+        let (result, mut conn) = raw_exchange(&server, &line);
+        assert!(bad_request(result).contains("nesting"));
+        // a parse error keeps the connection open
+        conn.get_mut().write_all(b"\"RsConfig\"\n").unwrap();
+        let mut answer = String::new();
+        conn.read_line(&mut answer).unwrap();
+        assert!(answer.starts_with("{\"Ok\":{\"RsConfig\""), "{answer}");
+        assert_still_serving(&server);
+        server.stop();
+    }
+
+    #[test]
+    fn invalid_utf8_line_is_refused_and_the_connection_closed() {
+        let server = TcpLgServer::spawn(lg()).unwrap();
+        // once lossily decoded this was a valid request for the wrong
+        // thing; now the bytes are refused as they are
+        let (result, conn) = raw_exchange(&server, b"\"RsConfig\xff\"\n");
+        assert!(bad_request(result).contains("UTF-8"));
+        assert!(hung_up(conn));
+        assert_still_serving(&server);
+        server.stop();
+    }
+
+    #[test]
+    fn bare_and_traced_frames_are_both_served_on_one_connection() {
+        let server = TcpLgServer::spawn(lg()).unwrap();
+        let stream = TcpStream::connect(server.addr()).unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let mut reader = BufReader::new(stream);
+        let req = LgRequest::Summary { afi: Afi::Ipv4 };
+        let traced = TracedRequest {
+            trace: TraceContext {
+                trace_id: 1,
+                span_id: 2,
+                slot: 3,
+            },
+            req: req.clone(),
+        };
+        // both frames in one write, blank line between: framing, not
+        // packet boundaries, separates requests
+        let frames = format!(
+            "{}\n\n{}\n\"RsConfig\"\n",
+            serde_json::to_string(&req).unwrap(),
+            serde_json::to_string(&traced).unwrap()
+        );
+        writer.write_all(frames.as_bytes()).unwrap();
+        let mut responses = Vec::new();
+        for _ in 0..3 {
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            let result: Result<LgResponse, LgError> = serde_json::from_str(&line).unwrap();
+            responses.push(result.unwrap());
+        }
+        assert_eq!(responses[0], responses[1]);
+        assert!(matches!(responses[0], LgResponse::Summary { .. }));
+        assert!(matches!(responses[2], LgResponse::RsConfig { .. }));
         server.stop();
     }
 

@@ -36,9 +36,12 @@ PAR_THREADS=4 cargo test -q --test par_equivalence
 # and runs it on the multithreaded build (PAR_THREADS=4) so the corpus
 # exercises the parallel fan-out too. On failure the suite prints a
 # CHAOS_REPLAY='{"seed":...,"plan":...}' command that replays the exact
-# failing (seed, fault plan) pair.
+# failing (seed, fault plan) pair. The same invocation runs the crate's
+# other test targets in release too, among them the JSON differential
+# (tests/json_differential.rs: streamed text vs. the Value tree, both
+# directions, on hostile and mutated frames).
 if [[ "$fast" -eq 0 ]]; then
-    echo "==> chaos (32-seed fault-injection corpus, release, PAR_THREADS=4)"
+    echo "==> chaos (32-seed fault-injection corpus + JSON differential, release, PAR_THREADS=4)"
     CHAOS_SEEDS="${CHAOS_SEEDS:-32}" PAR_THREADS=4 cargo test -q -p chaos --release
 fi
 
@@ -80,6 +83,15 @@ if [[ "$fast" -eq 0 ]]; then
     STREAM_DAYS="${STREAM_DAYS:-12}" STREAM_SCALE="${STREAM_SCALE:-0.05}" \
         INCREMENTAL_MIN_SPEEDUP=10 target/release/repro stream --incremental >/dev/null
 fi
+
+# The benchmark package has its own [workspace] table, so nothing above
+# builds it — yet it derives Serialize/Deserialize on its own structs and
+# parses its child sessions' result lines with from_str: the strictest
+# outside consumer of the vendored serde, and of every public signature
+# it path-depends on. Unit tests plus the tiny-scale smoke run of all
+# five workloads (< 15 s once built).
+echo "==> benchmark package (unit + tiny-scale smoke)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 # Bench-regression gate, smoke flavor: tiny measuring windows and few
 # iterations (BENCH_SMOKE=1), with correspondingly wide tolerance bands —
