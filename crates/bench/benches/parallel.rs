@@ -44,10 +44,11 @@ fn bench_report_at(c: &mut Criterion, threads: usize) {
     par::set_threads_override(None);
 }
 
-/// The export path with the copy-on-write rework: exporting the full
-/// table to a peer shares unmodified routes instead of deep-cloning
-/// them. The assertion pins the contract the speedup rests on: routes
-/// the policy does not touch allocate **zero** route copies.
+/// The export path: exporting the full table to a peer shares routes
+/// instead of deep-cloning them. The assertions pin the contract the
+/// speedup rests on: routes the policy does not touch allocate **zero**
+/// route copies, and routes the scrub changes are built once, not once
+/// per export.
 fn bench_export(c: &mut Criterion) {
     let mut rs = route_server::server::RouteServer::new(route_server::config::RsConfig::for_ixp(
         IxpId::Linx,
@@ -80,6 +81,30 @@ fn bench_export(c: &mut Criterion) {
     c.bench_function("export_200_routes_shared_cow", |b| {
         b.iter(|| black_box(rs.export_to(Asn(6939))))
     });
+    // Routes the scrub does change are built once, by the first export,
+    // and then handed out like the others.
+    rs.add_member(Asn(15169), true, false);
+    let avoid = community_dict::schemes::avoid_community(IxpId::Linx, Asn(15169));
+    let tagged: Vec<_> = exported
+        .iter()
+        .map(|r| {
+            let mut r = bgp_model::route::Route::clone(r);
+            r.standard_communities.push(avoid);
+            r
+        })
+        .collect();
+    for r in tagged {
+        rs.announce(Asn(39120), r);
+    }
+    let before = rs.stats().export_routes_copied;
+    assert_eq!(rs.export_to(Asn(6939)).len(), 200);
+    assert_eq!(rs.stats().export_routes_copied, before + 200);
+    assert_eq!(rs.export_to(Asn(6939)).len(), 200);
+    assert_eq!(
+        rs.stats().export_routes_copied,
+        before + 200,
+        "a second export of action-tagged routes must not build them again"
+    );
 }
 
 fn bench_parallel(c: &mut Criterion) {

@@ -141,18 +141,8 @@ impl PathAttribute {
 
     fn default_flags(&self) -> u8 {
         match self {
-            PathAttribute::Origin(_)
-            | PathAttribute::AsPath(_)
-            | PathAttribute::NextHop(_)
-            | PathAttribute::LocalPref(_)
-            | PathAttribute::AtomicAggregate => FLAG_TRANSITIVE,
-            PathAttribute::Med(_) => FLAG_OPTIONAL,
-            PathAttribute::Aggregator { .. }
-            | PathAttribute::Communities(_)
-            | PathAttribute::ExtendedCommunities(_)
-            | PathAttribute::LargeCommunities(_) => FLAG_OPTIONAL | FLAG_TRANSITIVE,
-            PathAttribute::MpReach(_) | PathAttribute::MpUnreach(_) => FLAG_OPTIONAL,
             PathAttribute::Unknown { flags, .. } => *flags & !FLAG_EXTENDED_LENGTH,
+            known => known_flags(known.type_code()),
         }
     }
 
@@ -177,22 +167,7 @@ impl PathAttribute {
     fn encode_value(&self, out: &mut impl BufMut) {
         match self {
             PathAttribute::Origin(o) => out.put_u8(o.code()),
-            PathAttribute::AsPath(path) => {
-                for seg in path.segments() {
-                    let (typ, asns) = match seg {
-                        Segment::Set(v) => (SEGMENT_TYPE_SET, v),
-                        Segment::Sequence(v) => (SEGMENT_TYPE_SEQUENCE, v),
-                    };
-                    // RFC 4271 caps a segment at 255 ASNs; split if longer.
-                    for chunk in asns.chunks(255) {
-                        out.put_u8(typ);
-                        out.put_u8(chunk.len() as u8);
-                        for asn in chunk {
-                            out.put_u32(asn.value());
-                        }
-                    }
-                }
-            }
+            PathAttribute::AsPath(path) => put_as_path(path, out),
             PathAttribute::NextHop(nh) => out.put_slice(&nh.octets()),
             PathAttribute::Med(v) | PathAttribute::LocalPref(v) => out.put_u32(*v),
             PathAttribute::AtomicAggregate => {}
@@ -200,39 +175,10 @@ impl PathAttribute {
                 out.put_u32(asn.value());
                 out.put_slice(&router_id.octets());
             }
-            PathAttribute::Communities(cs) => {
-                for c in cs {
-                    out.put_u32(c.0);
-                }
-            }
-            PathAttribute::ExtendedCommunities(cs) => {
-                for c in cs {
-                    out.put_slice(&c.bytes());
-                }
-            }
-            PathAttribute::LargeCommunities(cs) => {
-                for c in cs {
-                    out.put_u32(c.global);
-                    out.put_u32(c.data1);
-                    out.put_u32(c.data2);
-                }
-            }
-            PathAttribute::MpReach(mp) => {
-                out.put_u16(mp.afi.code());
-                out.put_u8(1); // SAFI unicast
-                match mp.next_hop {
-                    IpAddr::V4(a) => {
-                        out.put_u8(4);
-                        out.put_slice(&a.octets());
-                    }
-                    IpAddr::V6(a) => {
-                        out.put_u8(16);
-                        out.put_slice(&a.octets());
-                    }
-                }
-                out.put_u8(0); // reserved
-                nlri::encode_prefixes(&mp.nlri, out);
-            }
+            PathAttribute::Communities(cs) => put_standard(cs, out),
+            PathAttribute::ExtendedCommunities(cs) => put_extended(cs, out),
+            PathAttribute::LargeCommunities(cs) => put_large(cs, out),
+            PathAttribute::MpReach(mp) => put_mp_reach(mp.afi, mp.next_hop, &mp.nlri, out),
             PathAttribute::MpUnreach(mp) => {
                 out.put_u16(mp.afi.code());
                 out.put_u8(1); // SAFI unicast
@@ -428,6 +374,93 @@ impl PathAttribute {
             }),
         }
     }
+}
+
+/// The flags a recognized attribute type is sent with.
+fn known_flags(code: u8) -> u8 {
+    match code {
+        code::ORIGIN
+        | code::AS_PATH
+        | code::NEXT_HOP
+        | code::LOCAL_PREF
+        | code::ATOMIC_AGGREGATE => FLAG_TRANSITIVE,
+        code::MED | code::MP_REACH_NLRI | code::MP_UNREACH_NLRI => FLAG_OPTIONAL,
+        _ => FLAG_OPTIONAL | FLAG_TRANSITIVE,
+    }
+}
+
+/// Append one recognized attribute whose value `write` appends — the bytes
+/// [`PathAttribute::encode`] produces, for an encoder that holds the value
+/// already and wants no `PathAttribute` and no scratch buffer. The length
+/// is patched in afterwards; a value past 255 bytes moves up by one to make
+/// room for the extended length.
+pub(crate) fn put_attribute(out: &mut BytesMut, code: u8, write: impl FnOnce(&mut BytesMut)) {
+    let at = out.len();
+    out.put_slice(&[known_flags(code), code, 0]);
+    write(out);
+    let len = out.len() - at - 3;
+    if let Ok(short) = u8::try_from(len) {
+        out[at + 2] = short;
+    } else {
+        out.put_u8(0);
+        out.copy_within(at + 3..at + 3 + len, at + 4);
+        out[at] |= FLAG_EXTENDED_LENGTH;
+        out[at + 2..at + 4].copy_from_slice(&(len as u16).to_be_bytes());
+    }
+}
+
+pub(crate) fn put_as_path(path: &AsPath, out: &mut impl BufMut) {
+    for seg in path.segments() {
+        let typ = match seg {
+            Segment::Set(_) => SEGMENT_TYPE_SET,
+            Segment::Sequence(_) => SEGMENT_TYPE_SEQUENCE,
+        };
+        // RFC 4271 caps a segment at 255 ASNs; split if longer.
+        for chunk in seg.asns().chunks(255) {
+            out.put_u8(typ);
+            out.put_u8(chunk.len() as u8);
+            for asn in chunk {
+                out.put_u32(asn.value());
+            }
+        }
+    }
+}
+
+pub(crate) fn put_standard(cs: &[StandardCommunity], out: &mut impl BufMut) {
+    for c in cs {
+        out.put_u32(c.0);
+    }
+}
+
+pub(crate) fn put_extended(cs: &[ExtendedCommunity], out: &mut impl BufMut) {
+    for c in cs {
+        out.put_slice(&c.bytes());
+    }
+}
+
+pub(crate) fn put_large(cs: &[LargeCommunity], out: &mut impl BufMut) {
+    for c in cs {
+        out.put_u32(c.global);
+        out.put_u32(c.data1);
+        out.put_u32(c.data2);
+    }
+}
+
+pub(crate) fn put_mp_reach(afi: Afi, next_hop: IpAddr, nlri: &[Prefix], out: &mut impl BufMut) {
+    out.put_u16(afi.code());
+    out.put_u8(1); // SAFI unicast
+    match next_hop {
+        IpAddr::V4(a) => {
+            out.put_u8(4);
+            out.put_slice(&a.octets());
+        }
+        IpAddr::V6(a) => {
+            out.put_u8(16);
+            out.put_slice(&a.octets());
+        }
+    }
+    out.put_u8(0); // reserved
+    nlri::encode_prefixes(nlri, out);
 }
 
 /// Decode a full attribute block of `len` bytes from `buf`.

@@ -5,12 +5,17 @@
 //! decomposition here produces one [`Route`] per announced prefix, which is
 //! the granularity the route server and the paper's snapshots use.
 
+use std::collections::HashMap;
 use std::net::IpAddr;
 
-use bgp_model::prefix::{Afi, Prefix};
-use bgp_model::route::Route;
+use bytes::{BufMut, BytesMut};
 
-use crate::attrs::{code, MpReach, PathAttribute};
+use bgp_model::aspath::AsPath;
+use bgp_model::community::{ExtendedCommunity, LargeCommunity, StandardCommunity};
+use bgp_model::prefix::{Afi, Prefix};
+use bgp_model::route::{Origin, Route};
+
+use crate::attrs::{self, code, MpReach, PathAttribute};
 use crate::error::WireError;
 use crate::message::UpdateMessage;
 
@@ -104,9 +109,17 @@ pub fn update_to_routes(update: &UpdateMessage) -> Result<UpdateContent, WireErr
 /// communities as `routes[0]`; callers group routes accordingly
 /// (see [`routes_to_updates`] for the grouping front-end).
 pub fn routes_to_update(routes: &[Route]) -> UpdateMessage {
-    let Some(first) = routes.first() else {
-        return UpdateMessage::default();
-    };
+    match routes.first() {
+        Some(first) => announce(first, routes.iter().map(|r| r.prefix).collect()),
+        None => UpdateMessage::default(),
+    }
+}
+
+/// The UPDATE announcing `prefixes` with the attributes of `first`: the
+/// one place its attributes are cloned on the way to the wire.
+/// [`encode_route_attributes`] writes the same attributes in the same
+/// order without building the message.
+fn announce(first: &Route, prefixes: Vec<Prefix>) -> UpdateMessage {
     let mut attributes = vec![
         PathAttribute::Origin(first.origin),
         PathAttribute::AsPath(first.as_path.clone()),
@@ -135,14 +148,14 @@ pub fn routes_to_update(routes: &[Route]) -> UpdateMessage {
             UpdateMessage {
                 withdrawn: vec![],
                 attributes,
-                nlri: routes.iter().map(|r| r.prefix).collect(),
+                nlri: prefixes,
             }
         }
         _ => {
             attributes.push(PathAttribute::MpReach(MpReach {
                 afi: first.afi(),
                 next_hop: first.next_hop,
-                nlri: routes.iter().map(|r| r.prefix).collect(),
+                nlri: prefixes,
             }));
             UpdateMessage {
                 withdrawn: vec![],
@@ -153,48 +166,105 @@ pub fn routes_to_update(routes: &[Route]) -> UpdateMessage {
     }
 }
 
+/// Append the attribute block of the UPDATE announcing `route` alone —
+/// byte for byte `encode_attributes(&routes_to_update(&[route]).attributes)`
+/// — straight from the route, cloning and buffering nothing. An MRT RIB
+/// entry is exactly this block.
+pub fn encode_route_attributes(route: &Route, out: &mut BytesMut) {
+    attrs::put_attribute(out, code::ORIGIN, |v| v.put_u8(route.origin.code()));
+    attrs::put_attribute(out, code::AS_PATH, |v| {
+        attrs::put_as_path(&route.as_path, v)
+    });
+    if let Some(med) = route.med {
+        attrs::put_attribute(out, code::MED, |v| v.put_u32(med));
+    }
+    if !route.standard_communities.is_empty() {
+        attrs::put_attribute(out, code::COMMUNITIES, |v| {
+            attrs::put_standard(&route.standard_communities, v)
+        });
+    }
+    if !route.extended_communities.is_empty() {
+        attrs::put_attribute(out, code::EXTENDED_COMMUNITIES, |v| {
+            attrs::put_extended(&route.extended_communities, v)
+        });
+    }
+    if !route.large_communities.is_empty() {
+        attrs::put_attribute(out, code::LARGE_COMMUNITIES, |v| {
+            attrs::put_large(&route.large_communities, v)
+        });
+    }
+    match (route.afi(), route.next_hop) {
+        (Afi::Ipv4, IpAddr::V4(nh)) => {
+            attrs::put_attribute(out, code::NEXT_HOP, |v| v.put_slice(&nh.octets()));
+        }
+        (afi, next_hop) => attrs::put_attribute(out, code::MP_REACH_NLRI, |v| {
+            attrs::put_mp_reach(afi, next_hop, std::slice::from_ref(&route.prefix), v)
+        }),
+    }
+}
+
+/// Everything of a route but its prefix: routes equal in this share one
+/// UPDATE. Borrowed, so grouping formats and copies nothing.
+type AttributeSet<'a> = (
+    Afi,
+    IpAddr,
+    &'a AsPath,
+    Origin,
+    Option<u32>,
+    &'a [StandardCommunity],
+    &'a [ExtendedCommunity],
+    &'a [LargeCommunity],
+);
+
 /// Group arbitrary routes by shared attribute set and emit one UPDATE per
 /// group, each within the 4096-byte limit (NLRI split into chunks).
+///
+/// Groups come out in the order their first route appears in `routes`,
+/// and prefixes keep their input order within a group, so the output is
+/// a function of the input order alone.
 pub fn routes_to_updates(routes: &[Route]) -> Vec<UpdateMessage> {
-    use std::collections::BTreeMap;
-    // Group key: everything except the prefix. Ordering via the serialized
-    // display strings keeps the map deterministic without a custom Ord.
-    let mut groups: BTreeMap<String, Vec<&Route>> = BTreeMap::new();
+    // The map only finds a route's group; `groups` fixes the order.
+    let mut index: HashMap<AttributeSet<'_>, usize> = HashMap::new();
+    let mut groups: Vec<(&Route, Vec<Prefix>)> = Vec::new();
     for r in routes {
-        let key = format!(
-            "{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+        let key: AttributeSet<'_> = (
             r.afi(),
             r.next_hop,
-            r.as_path,
+            &r.as_path,
             r.origin,
             r.med,
-            r.standard_communities,
-            r.extended_communities,
-            r.large_communities,
+            &r.standard_communities,
+            &r.extended_communities,
+            &r.large_communities,
         );
-        groups.entry(key).or_default().push(r);
-    }
-    let mut updates = Vec::new();
-    for group in groups.values() {
-        // Conservative chunking: budget ~2000 bytes of NLRI per UPDATE
-        // (prefix encodings are ≤17 bytes), leaving ample room for
-        // attributes within 4096.
-        let chunk_size = 100usize;
-        for chunk in group.chunks(chunk_size) {
-            let owned: Vec<Route> = chunk.iter().map(|r| (*r).clone()).collect();
-            updates.push(routes_to_update(&owned));
+        let at = *index.entry(key).or_insert(groups.len());
+        match groups.get_mut(at) {
+            Some((_, prefixes)) => prefixes.push(r.prefix),
+            None => groups.push((r, vec![r.prefix])),
         }
     }
-    updates
+    // Conservative chunking: budget ~2000 bytes of NLRI per UPDATE
+    // (prefix encodings are ≤17 bytes), leaving ample room for
+    // attributes within 4096.
+    let chunk_size = 100usize;
+    groups
+        .iter()
+        .flat_map(|(first, prefixes)| {
+            prefixes
+                .chunks(chunk_size)
+                .map(|chunk| announce(first, chunk.to_vec()))
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::message::Message;
-    use bgp_model::community::{LargeCommunity, StandardCommunity};
+    use bgp_model::aspath::Segment;
     use bgp_model::prelude::Asn;
-    use bgp_model::route::Origin;
+    use bytes::Bytes;
+    use std::collections::BTreeMap;
 
     fn v4_route(pfx: &str) -> Route {
         Route::builder(pfx.parse().unwrap(), "198.32.0.7".parse().unwrap())
@@ -293,6 +363,118 @@ mod tests {
             total += update_to_routes(u).unwrap().announced.len();
         }
         assert_eq!(total, 500);
+    }
+
+    /// A mixed table: three attribute sets interleaved, two families,
+    /// every community kind, and one set large enough to need chunking.
+    fn mixed_routes() -> Vec<Route> {
+        let mut routes = Vec::new();
+        for i in 0..250u32 {
+            let mut r = v4_route("203.0.113.0/24");
+            r.prefix = Prefix::v4(100, (i >> 8) as u8, i as u8, 0, 24).unwrap();
+            routes.push(r);
+            if i % 50 == 0 {
+                let mut tagged = v4_route("198.51.100.0/24");
+                tagged.prefix = Prefix::v4(101, 0, i as u8, 0, 24).unwrap();
+                tagged.med = Some(10);
+                tagged.extended_communities =
+                    vec![ExtendedCommunity::two_octet_as(0x02, 9002, 15169)];
+                routes.push(tagged);
+            }
+            if i % 100 == 0 {
+                let mut v6 = Route::builder(
+                    format!("2001:db8:{i:x}::/48").parse().unwrap(),
+                    "2001:7f8::6939:1".parse().unwrap(),
+                )
+                .path([6939, 44])
+                .build();
+                v6.large_communities = vec![LargeCommunity::new(26162, 0, 6939)];
+                routes.push(v6);
+            }
+        }
+        routes
+    }
+
+    fn frames(updates: Vec<UpdateMessage>) -> Vec<Bytes> {
+        let mut frames: Vec<Bytes> = updates
+            .into_iter()
+            .map(|u| Message::Update(u).encode().unwrap())
+            .collect();
+        frames.sort();
+        frames
+    }
+
+    #[test]
+    fn grouping_matches_a_string_keyed_reference() {
+        let routes = mixed_routes();
+        // the grouping this function used to do: a formatted key, owned
+        // chunks, groups in key order
+        let mut by_key: BTreeMap<String, Vec<Route>> = BTreeMap::new();
+        for r in &routes {
+            let key = format!(
+                "{}|{}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
+                r.afi(),
+                r.next_hop,
+                r.as_path,
+                r.origin,
+                r.med,
+                r.standard_communities,
+                r.extended_communities,
+                r.large_communities,
+            );
+            by_key.entry(key).or_default().push(r.clone());
+        }
+        let reference: Vec<UpdateMessage> = by_key
+            .values()
+            .flat_map(|group| group.chunks(100).map(routes_to_update))
+            .collect();
+        let updates = routes_to_updates(&routes);
+        // same frames, whatever their order
+        assert_eq!(frames(updates.clone()), frames(reference));
+        // groups in first-appearance order, equal attributes coalesced
+        // across the interleaving, 250 routes split 100/100/50
+        let sizes: Vec<usize> = updates
+            .iter()
+            .map(|u| update_to_routes(u).unwrap().announced.len())
+            .collect();
+        assert_eq!(sizes, [100, 100, 50, 5, 3]);
+        assert_eq!(updates[0].nlri[0], routes[0].prefix);
+    }
+
+    #[test]
+    fn route_attributes_encode_as_the_update_builder_would() {
+        let mut routes = mixed_routes();
+        routes.truncate(4);
+        // no communities at all
+        routes.push(
+            Route::builder(
+                "192.0.2.0/24".parse().unwrap(),
+                "198.32.0.9".parse().unwrap(),
+            )
+            .path([64500])
+            .build(),
+        );
+        // an attribute past 255 bytes, a segment past 255 ASNs, an AS_SET
+        let mut big = v4_route("203.0.113.0/24");
+        big.standard_communities = (0..100)
+            .map(|i| StandardCommunity::from_parts(6695, i))
+            .collect();
+        big.as_path = AsPath::from_segments(vec![
+            Segment::Sequence((1..=300).map(Asn).collect()),
+            Segment::Set(vec![Asn(15169), Asn(8075)]),
+        ]);
+        routes.push(big);
+        // a v4 prefix behind a v6 next hop rides in MP_REACH
+        let mut v4_over_v6 = v4_route("203.0.113.0/24");
+        v4_over_v6.next_hop = "2001:7f8::1".parse().unwrap();
+        routes.push(v4_over_v6);
+        for r in &routes {
+            let via_update =
+                attrs::encode_attributes(&routes_to_update(std::slice::from_ref(r)).attributes);
+            let mut direct = BytesMut::new();
+            encode_route_attributes(r, &mut direct);
+            assert_eq!(direct, via_update, "{r:?}");
+        }
     }
 
     #[test]

@@ -152,13 +152,15 @@ impl MrtRibDump {
             for e in entries {
                 body.put_u16(e.peer_index);
                 body.put_u32(e.originated);
-                let update = convert::routes_to_update(std::slice::from_ref(&e.route));
-                let ab = attrs::encode_attributes(&update.attributes);
-                if ab.len() > u16::MAX as usize {
+                // the attributes go straight into the record; their
+                // length is only known afterwards and patched in
+                let len_at = body.len();
+                body.put_u16(0);
+                convert::encode_route_attributes(&e.route, &mut body);
+                let Ok(len) = u16::try_from(body.len() - len_at - 2) else {
                     return Err(WireError::ValueTooLarge("rib entry attributes"));
-                }
-                body.put_u16(ab.len() as u16);
-                body.put_slice(&ab);
+                };
+                body[len_at..len_at + 2].copy_from_slice(&len.to_be_bytes());
             }
             let subtype = match prefix.afi() {
                 Afi::Ipv4 => SUBTYPE_RIB_IPV4_UNICAST,

@@ -51,11 +51,12 @@ pub const RS_EFFECTIVE_ACTION_INSTANCES: &str = "rs.effective_action_instances";
 pub const RS_INEFFECTIVE_ACTION_INSTANCES: &str = "rs.ineffective_action_instances";
 /// Per-(route, peer) export policy evaluations performed.
 pub const RS_EXPORT_EVALUATIONS: &str = "rs.export_evaluations";
-/// Communities removed by scrubbing on export.
+/// Communities removed by scrubbing on export, per (route, peer).
 pub const RS_SCRUBBED_COMMUNITIES: &str = "rs.scrubbed_communities";
-/// Exports that shared the stored route (no mutation, no copy).
+/// Exported routes handed out without building anything (the stored
+/// route, or the scrubbed form an earlier export kept).
 pub const RS_EXPORT_ROUTES_SHARED: &str = "rs.export_routes_shared";
-/// Exports that copied the route because prepend/scrub mutated it.
+/// Routes built during an export (a route's first scrub, every prepend).
 pub const RS_EXPORT_ROUTES_COPIED: &str = "rs.export_routes_copied";
 /// Member sessions currently registered.
 pub const RS_MEMBERS: &str = "rs.members";

@@ -20,6 +20,7 @@ use bgp_wire::convert;
 use bgp_wire::message::UpdateMessage;
 use bgp_wire::WireError;
 
+use community_dict::classify::{classify_extended, classify_large};
 use community_dict::dictionary::Dictionary;
 use community_dict::ixp::IxpId;
 use community_dict::schemes;
@@ -74,6 +75,29 @@ pub enum IngestOutcome {
     NoSession,
 }
 
+/// The form an accepted route leaves the RS in. Scrubbing depends on the
+/// route alone, never on the receiving peer, so it is computed once — by
+/// the first export that allows the route — and kept beside the digest.
+#[derive(Debug, Clone, Default)]
+enum ExportForm {
+    /// Not exported yet.
+    #[default]
+    Unknown,
+    /// Scrubbing changes nothing: peers get the RIB's own `Arc<Route>`.
+    Unchanged,
+    /// The scrubbed route and how many community instances it lost.
+    Scrubbed(Arc<Route>, u32),
+}
+
+/// What the RS keeps per accepted route. The entry is replaced on every
+/// (re-)announcement and dropped on withdraw, so neither half can outlive
+/// the route it was computed from.
+#[derive(Debug, Clone, Default)]
+struct Digested {
+    policy: RoutePolicy,
+    export: ExportForm,
+}
+
 /// The route server.
 #[derive(Debug, Clone)]
 pub struct RouteServer {
@@ -81,7 +105,7 @@ pub struct RouteServer {
     dict: Dictionary,
     members: BTreeMap<Asn, Member>,
     rib: AdjRibIn,
-    policies: HashMap<(Asn, Prefix), RoutePolicy>,
+    policies: HashMap<(Asn, Prefix), Digested>,
     filtered: Vec<FilteredRoute>,
     stats: RsStats,
     metrics: RsMetrics,
@@ -235,6 +259,10 @@ impl RouteServer {
     }
 
     /// Ingest one model-level route announcement from a member.
+    ///
+    /// An announcement replaces the member's previous route for the prefix
+    /// (RFC 4271 §3.1) whether or not it is accepted itself: one that the
+    /// import filters or a `Reject` rule turn down withdraws that route.
     pub fn announce(&mut self, peer: Asn, mut route: Route) -> IngestOutcome {
         let Some(member) = self.members.get(&peer) else {
             return IngestOutcome::NoSession;
@@ -267,6 +295,8 @@ impl RouteServer {
             }
         }
         if let Err(reason) = check_import(&route, &self.config) {
+            // the route this one replaces does not stay behind
+            self.withdraw(peer, &route.prefix);
             self.stats.record_filtered(reason);
             self.metrics.record_filtered(reason);
             self.filtered.push(FilteredRoute {
@@ -284,6 +314,7 @@ impl RouteServer {
         match crate::rules::evaluate(&self.config.import_rules, peer, &route).map(|r| r.action) {
             Some(crate::rules::RuleAction::Reject) => {
                 let reason = FilterReason::PolicyRule;
+                self.withdraw(peer, &route.prefix);
                 self.stats.record_filtered(reason);
                 self.metrics.record_filtered(reason);
                 self.filtered.push(FilteredRoute {
@@ -339,7 +370,12 @@ impl RouteServer {
             }
         }
 
-        self.policies.insert((peer, route.prefix), policy);
+        // a fresh entry: the previous route's export form goes with it
+        let digested = Digested {
+            policy,
+            export: ExportForm::Unknown,
+        };
+        self.policies.insert((peer, route.prefix), digested);
         if self.events.is_some() {
             // the event carries the route exactly as stored
             let stored = route.clone();
@@ -379,7 +415,7 @@ impl RouteServer {
 
     /// The digested policy for one accepted route.
     pub fn policy(&self, peer: Asn, prefix: &Prefix) -> Option<&RoutePolicy> {
-        self.policies.get(&(peer, *prefix))
+        self.policies.get(&(peer, *prefix)).map(|d| &d.policy)
     }
 
     /// Processing statistics.
@@ -391,22 +427,21 @@ impl RouteServer {
     /// accepted routes, with action semantics applied (deny / allow /
     /// prepend), blackhole next hops preserved, and communities scrubbed.
     ///
-    /// Routes the policy does not mutate (no prepend, scrub is a no-op)
-    /// are **shared** with the RIB's stored copy — the returned
-    /// `Arc<Route>` points at the same allocation, so exporting the full
-    /// table to every peer costs one `Arc` bump per (route, peer) pair
-    /// instead of a deep `Route` clone. Only routes a prepend or scrub
-    /// actually changes are copied (copy-on-write); the
-    /// `export_routes_shared` / `export_routes_copied` stats count the
-    /// two paths.
+    /// Per (route, peer) this is a policy decision plus an `Arc` bump.
+    /// What scrubbing does to a route does not depend on the peer, so the
+    /// first export that allows a route settles its export form — the
+    /// RIB's own `Arc<Route>` when scrubbing changes nothing, else the
+    /// scrubbed route, built once — and every later peer shares that
+    /// allocation. Only a prepend still copies per peer (from the export
+    /// form). `export_routes_copied` counts the routes a call built,
+    /// `export_routes_shared` the ones it handed out without building.
     pub fn export_to(&mut self, peer: Asn) -> Vec<Arc<Route>> {
         let Some(member) = self.members.get(&peer).copied() else {
             return Vec::new();
         };
         let mut out = Vec::new();
-        let default_policy = RoutePolicy::default();
-        let announcers: Vec<Asn> = self.rib.peers().filter(|a| *a != peer).collect();
-        for announcer in announcers {
+        let (mut evaluations, mut shared, mut copied, mut scrubbed) = (0u64, 0u64, 0u64, 0u64);
+        for announcer in self.rib.peers().filter(|a| *a != peer) {
             let Some(table) = self.rib.peer(announcer) else {
                 continue;
             };
@@ -414,36 +449,50 @@ impl RouteServer {
                 if !member.has_session(route.afi()) {
                     continue;
                 }
-                self.stats.export_evaluations += 1;
-                self.metrics.export_evaluations.inc();
-                let policy = self
-                    .policies
-                    .get(&(announcer, route.prefix))
-                    .unwrap_or(&default_policy);
-                let crate::policy::ExportDecision::Allow { prepend } = policy.decide(peer) else {
+                evaluations += 1;
+                let digested = self.policies.entry((announcer, route.prefix)).or_default();
+                let crate::policy::ExportDecision::Allow { prepend } = digested.policy.decide(peer)
+                else {
                     continue;
                 };
-                if prepend == 0
-                    && !scrub_would_modify(&self.config, &self.dict, route, policy.blackhole)
-                {
-                    self.stats.export_routes_shared += 1;
-                    self.metrics.export_routes_shared.inc();
-                    out.push(Arc::clone(route));
-                } else {
-                    let mut exported = Route::clone(route);
-                    if prepend > 0 {
-                        exported.as_path = exported.as_path.prepend(announcer, prepend as usize);
+                let mut built = false;
+                if matches!(digested.export, ExportForm::Unknown) {
+                    let blackhole = digested.policy.blackhole;
+                    digested.export = match scrub(&self.config, &self.dict, route, blackhole) {
+                        Some((route, removed)) => {
+                            built = true;
+                            ExportForm::Scrubbed(Arc::new(route), removed)
+                        }
+                        None => ExportForm::Unchanged,
+                    };
+                }
+                let form = match &digested.export {
+                    ExportForm::Scrubbed(form, removed) => {
+                        scrubbed += u64::from(*removed);
+                        form
                     }
-                    let scrubbed =
-                        scrub_route(&self.config, &self.dict, &mut exported, policy.blackhole);
-                    self.stats.scrubbed_communities += scrubbed;
-                    self.metrics.scrubbed_communities.add(scrubbed);
-                    self.stats.export_routes_copied += 1;
-                    self.metrics.export_routes_copied.inc();
+                    _ => route,
+                };
+                copied += u64::from(built);
+                if prepend == 0 {
+                    shared += u64::from(!built);
+                    out.push(Arc::clone(form));
+                } else {
+                    let mut exported = Route::clone(form);
+                    exported.as_path = exported.as_path.prepend(announcer, prepend as usize);
+                    copied += 1;
                     out.push(Arc::new(exported));
                 }
             }
         }
+        self.stats.export_evaluations += evaluations;
+        self.metrics.export_evaluations.add(evaluations);
+        self.stats.export_routes_shared += shared;
+        self.metrics.export_routes_shared.add(shared);
+        self.stats.export_routes_copied += copied;
+        self.metrics.export_routes_copied.add(copied);
+        self.stats.scrubbed_communities += scrubbed;
+        self.metrics.scrubbed_communities.add(scrubbed);
         out
     }
 
@@ -473,71 +522,69 @@ impl RouteServer {
     }
 }
 
-/// Would [`scrub_route`] change this route at all? The export fast path
-/// shares the stored route when this is false, so the predicate must
-/// match `scrub_route`'s retain logic exactly.
-fn scrub_would_modify(
+/// `route` as it leaves the RS under the config's scrub policy, with the
+/// number of community instances removed; `None` when scrubbing leaves it
+/// as it is. The kept communities are collected, not cloned and pruned:
+/// the result is held for the route's lifetime, and on a heavily tagged
+/// table most of a route's communities go.
+fn scrub(
     config: &RsConfig,
     dict: &Dictionary,
     route: &Route,
     is_blackhole: bool,
-) -> bool {
-    match config.scrub {
-        ScrubPolicy::None => false,
+) -> Option<(Route, u32)> {
+    let (standard, extended, large, removed) = match config.scrub {
+        ScrubPolicy::None => return None,
         // Scrubbing everything is a change whenever there is anything to
-        // drop; re-adding the RFC 7999 signal is also a change when the
-        // route had no communities at all.
-        ScrubPolicy::All => route.community_count() > 0 || is_blackhole,
-        ScrubPolicy::ActionsOnly => {
-            let ixp = config.ixp;
-            route.standard_communities.iter().any(|c| {
-                !((is_blackhole && c.is_blackhole()) || dict.classify(*c).action().is_none())
-            }) || route.large_communities.iter().any(|c| {
-                community_dict::classify::classify_large(ixp, *c)
-                    .action()
-                    .is_some()
-            }) || route.extended_communities.iter().any(|c| {
-                community_dict::classify::classify_extended(ixp, *c)
-                    .action()
-                    .is_some()
-            })
-        }
-    }
-}
-
-/// Scrub `route`'s communities per the config policy, returning how many
-/// community instances were removed.
-fn scrub_route(config: &RsConfig, dict: &Dictionary, route: &mut Route, is_blackhole: bool) -> u64 {
-    match config.scrub {
-        ScrubPolicy::None => 0,
+        // drop; re-adding the RFC 7999 signal peers still need is also a
+        // change when the route had no communities at all.
+        ScrubPolicy::All if route.community_count() == 0 && !is_blackhole => return None,
         ScrubPolicy::All => {
-            let scrubbed = route.community_count() as u64;
-            route.scrub_communities();
-            if is_blackhole {
-                // peers still need the RFC 7999 signal
-                route.standard_communities.push(well_known::BLACKHOLE);
-            }
-            scrubbed
+            let signal = is_blackhole.then_some(well_known::BLACKHOLE);
+            let standard = signal.into_iter().collect();
+            (standard, Vec::new(), Vec::new(), route.community_count())
         }
         ScrubPolicy::ActionsOnly => {
-            let before = route.community_count();
-            route.standard_communities.retain(|c| {
-                (is_blackhole && c.is_blackhole()) || dict.classify(*c).action().is_none()
-            });
             let ixp = config.ixp;
-            route.large_communities.retain(|c| {
-                community_dict::classify::classify_large(ixp, *c)
-                    .action()
-                    .is_none()
-            });
-            route.extended_communities.retain(|c| {
-                community_dict::classify::classify_extended(ixp, *c)
-                    .action()
-                    .is_none()
-            });
-            (before - route.community_count()) as u64
+            let standard: Vec<_> = route
+                .standard_communities
+                .iter()
+                .copied()
+                .filter(|c| {
+                    (is_blackhole && c.is_blackhole()) || dict.classify(*c).action().is_none()
+                })
+                .collect();
+            let extended: Vec<_> = route
+                .extended_communities
+                .iter()
+                .copied()
+                .filter(|c| classify_extended(ixp, *c).action().is_none())
+                .collect();
+            let large: Vec<_> = route
+                .large_communities
+                .iter()
+                .copied()
+                .filter(|c| classify_large(ixp, *c).action().is_none())
+                .collect();
+            let removed = route.community_count() - standard.len() - extended.len() - large.len();
+            if removed == 0 {
+                return None;
+            }
+            (standard, extended, large, removed)
         }
-    }
+    };
+    let scrubbed = Route {
+        prefix: route.prefix,
+        next_hop: route.next_hop,
+        as_path: route.as_path.clone(),
+        origin: route.origin,
+        med: route.med,
+        standard_communities: standard,
+        extended_communities: extended,
+        large_communities: large,
+    };
+    // u32 keeps the export form at 16 bytes; no route holds 2^32 communities
+    Some((scrubbed, u32::try_from(removed).unwrap_or(u32::MAX)))
 }
 
 /// RFC 4271 §9.1-style tie-breaking, reduced to what a route server can
@@ -624,24 +671,126 @@ mod tests {
         let mut server = rs();
         // carries an action community targeting another member: exporting
         // to AS6939 is allowed but ActionsOnly scrubbing removes the tag
-        let r = route(
-            "193.0.10.0/24",
-            &[schemes::avoid_community(IXP, Asn(15169))],
-        );
+        let avoid = schemes::avoid_community(IXP, Asn(15169));
+        let r = route("193.0.10.0/24", &[avoid]);
         assert_eq!(server.announce(Asn(39120), r), IngestOutcome::Accepted);
         let exp = server.export_to(Asn(6939));
         assert_eq!(exp.len(), 1);
-        let stored = server
-            .accepted()
-            .peer(Asn(39120))
-            .unwrap()
-            .get_shared(&"193.0.10.0/24".parse().unwrap())
-            .unwrap();
-        assert!(!Arc::ptr_eq(&exp[0], stored));
-        // the scrub mutated the copy, never the stored route
+        let prefix = "193.0.10.0/24".parse().unwrap();
+        let stored = server.accepted().peer(Asn(39120)).unwrap();
+        let stored = Arc::clone(stored.get_shared(&prefix).unwrap());
+        assert!(!Arc::ptr_eq(&exp[0], &stored));
+        // the scrub built a new route, it never touched the stored one
         assert!(exp[0].standard_communities.len() < stored.standard_communities.len());
+        assert!(stored.has_standard(avoid));
         assert_eq!(server.stats().export_routes_copied, 1);
-        assert_eq!(server.stats().export_routes_shared, 0);
+        assert_eq!(server.stats().scrubbed_communities, 1);
+        // a second export hands out the kept form: nothing is built, and
+        // the removed communities still count per (route, peer)
+        let again = server.export_to(Asn(6939));
+        assert!(Arc::ptr_eq(&again[0], &exp[0]));
+        assert_eq!(server.stats().export_routes_copied, 1);
+        assert_eq!(server.stats().export_routes_shared, 1);
+        assert_eq!(server.stats().scrubbed_communities, 2);
+    }
+
+    #[test]
+    fn scrubbed_form_is_one_allocation_for_every_peer() {
+        let mut server = rs();
+        server.add_member(Asn(13335), true, false);
+        let avoid = schemes::avoid_community(IXP, Asn(15169));
+        server.announce(Asn(39120), route("193.0.10.0/24", &[avoid]));
+        let to_he = server.export_to(Asn(6939));
+        let to_cf = server.export_to(Asn(13335));
+        assert!(Arc::ptr_eq(&to_he[0], &to_cf[0]));
+        assert!(!to_he[0].has_standard(avoid));
+        // re-announcing replaces the route and drops the form built from it
+        server.announce(Asn(39120), route("193.0.10.0/24", &[]));
+        let fresh = server.export_to(Asn(6939));
+        assert!(!Arc::ptr_eq(&fresh[0], &to_he[0]));
+        assert_eq!(fresh[0].standard_communities.len(), 2);
+    }
+
+    #[test]
+    fn second_export_builds_only_the_prepends() {
+        let mut server = rs();
+        let prepend = schemes::prepend_community(IXP, Asn(6939), 2).unwrap();
+        let avoid = schemes::avoid_community(IXP, Asn(15169));
+        server.announce(Asn(39120), route("193.0.10.0/24", &[prepend]));
+        server.announce(Asn(39120), route("193.0.11.0/24", &[avoid]));
+        server.announce(Asn(39120), route("193.0.12.0/24", &[]));
+        let first = server.export_to(Asn(6939));
+        // two scrubbed forms and one prepended copy
+        assert_eq!(server.stats().export_routes_copied, 3);
+        assert_eq!(server.stats().export_routes_shared, 1);
+        let second = server.export_to(Asn(6939));
+        assert_eq!(second, first);
+        // only the prepend is built again
+        assert_eq!(server.stats().export_routes_copied, 4);
+        assert_eq!(server.stats().export_routes_shared, 3);
+        assert_eq!(server.stats().export_evaluations, 6);
+    }
+
+    #[test]
+    fn export_form_fits_its_budget() {
+        // every accepted route pays this, exported or not
+        assert!(std::mem::size_of::<ExportForm>() <= 16);
+    }
+
+    #[test]
+    fn filtered_reannouncement_withdraws_the_old_route() {
+        use crate::rules::{ImportRule, RuleAction, RuleMatch};
+        let tagged = bgp_model::community::StandardCommunity::from_parts(64999, 1);
+        let config = RsConfig::for_ixp(IXP).with_import_rules(vec![ImportRule {
+            name: "no-64999:1".into(),
+            matcher: RuleMatch {
+                community: Some(community_dict::pattern::Pattern::Exact(tagged)),
+                ..RuleMatch::default()
+            },
+            action: RuleAction::Reject,
+        }]);
+        let mut server = RouteServer::new(config);
+        server.add_member(Asn(39120), true, true);
+        server.add_member(Asn(6939), true, true);
+        server.enable_events();
+        let prefix: Prefix = "193.0.10.0/24".parse().unwrap();
+        let long_path = Route::builder(prefix, "198.32.0.7".parse().unwrap())
+            .path([39120; 40])
+            .build();
+        // one re-announcement per exit that rejects on the route's attributes
+        let rejected = [
+            (long_path, FilterReason::PathTooLong),
+            (route("193.0.10.0/24", &[tagged]), FilterReason::PolicyRule),
+        ];
+        for (n, (bad, reason)) in rejected.into_iter().enumerate() {
+            assert_eq!(
+                server.announce(Asn(39120), route("193.0.10.0/24", &[])),
+                IngestOutcome::Accepted
+            );
+            assert_eq!(server.export_to(Asn(6939)).len(), 1);
+            server.take_events();
+            assert_eq!(
+                server.announce(Asn(39120), bad),
+                IngestOutcome::Filtered(reason)
+            );
+            // RFC 4271 §3.1: the new announcement replaced the old route,
+            // and the new one was not accepted
+            assert_eq!(server.accepted().route_count(), 0, "{reason}");
+            assert!(server.policy(Asn(39120), &prefix).is_none());
+            assert!(server.export_to(Asn(6939)).is_empty());
+            assert_eq!(server.stats().routes_withdrawn, n as u64 + 1);
+            let peer = Asn(39120);
+            assert_eq!(server.take_events(), [RibEvent::Withdraw { peer, prefix }]);
+        }
+        // a filtered announcement for a prefix the member never held is
+        // no withdraw
+        let bogon = route("10.0.0.0/16", &[]);
+        assert!(matches!(
+            server.announce(Asn(39120), bogon),
+            IngestOutcome::Filtered(_)
+        ));
+        assert_eq!(server.stats().routes_withdrawn, 2);
+        assert!(server.take_events().is_empty());
     }
 
     #[test]

@@ -31,13 +31,15 @@ pub struct RsStats {
     pub ineffective_action_instances: u64,
     /// Per-(route, peer) export policy evaluations performed.
     pub export_evaluations: u64,
-    /// Communities removed by scrubbing on export.
+    /// Communities removed by scrubbing on export, counted per
+    /// (route, peer): a route's kept scrubbed form adds its removed count
+    /// every time it is handed out.
     pub scrubbed_communities: u64,
-    /// Exported routes shared with the RIB copy (no prepend/scrub
-    /// mutation, so no per-peer deep clone was allocated).
+    /// Exported routes handed out without building anything: the RIB's
+    /// own route, or the scrubbed form an earlier export kept.
     pub export_routes_shared: u64,
-    /// Exported routes that were copied because a prepend or scrub
-    /// actually mutated them (copy-on-write slow path).
+    /// Routes built during an export: the first scrub of a route (kept
+    /// and shared from then on) and every prepended copy.
     pub export_routes_copied: u64,
 }
 

@@ -1,8 +1,13 @@
 //! Property tests for the action-policy engine: the route server must
 //! honour every combination of action communities.
 
+use std::sync::Arc;
+
 use bgp_model::asn::Asn;
+use bgp_model::community::well_known;
 use bgp_model::route::Route;
+use community_dict::classify::{classify_extended, classify_large};
+use community_dict::dictionary::Dictionary;
 use community_dict::ixp::IxpId;
 use community_dict::schemes;
 use proptest::prelude::*;
@@ -66,12 +71,77 @@ fn build_route(announcer: Asn, spec: &ActionSpec) -> Route {
 }
 
 fn server_with_peers(announcer: Asn) -> RouteServer {
-    let mut rs = RouteServer::for_ixp(IXP);
-    rs.add_member(announcer, true, false);
-    for p in PEERS {
-        rs.add_member(Asn(p), true, false);
+    server_with_config(RsConfig::for_ixp(IXP), &[announcer])
+}
+
+fn server_with_config(config: RsConfig, announcers: &[Asn]) -> RouteServer {
+    let mut rs = RouteServer::new(config);
+    for a in announcers.iter().copied().chain(PEERS.map(Asn)) {
+        rs.add_member(a, true, false);
     }
     rs
+}
+
+/// What `export_to(peer)` must return, worked out from the RIB alone and
+/// the slow way: per stored route a fresh digest, a clone, the prepend,
+/// then an in-place scrub that drops every community classified as an
+/// action (all of them under `All`) and keeps BLACKHOLE on blackhole
+/// routes. Shares no code with the server's export forms.
+fn reference_export(rs: &RouteServer, peer: Asn) -> Vec<Route> {
+    let dict: &Dictionary = rs.dictionary();
+    let mut out = Vec::new();
+    for (announcer, stored) in rs.accepted().iter() {
+        if announcer == peer {
+            continue;
+        }
+        let policy = RoutePolicy::digest(dict, stored);
+        let ExportDecision::Allow { prepend } = policy.decide(peer) else {
+            continue;
+        };
+        let mut r = stored.clone();
+        r.as_path = r.as_path.prepend(announcer, prepend as usize);
+        match rs.config().scrub {
+            ScrubPolicy::None => {}
+            ScrubPolicy::All => {
+                r.scrub_communities();
+                if policy.blackhole {
+                    r.standard_communities.push(well_known::BLACKHOLE);
+                }
+            }
+            ScrubPolicy::ActionsOnly => {
+                r.standard_communities.retain(|c| {
+                    (policy.blackhole && c.is_blackhole()) || dict.classify(*c).action().is_none()
+                });
+                r.extended_communities
+                    .retain(|c| classify_extended(IXP, *c).action().is_none());
+                r.large_communities
+                    .retain(|c| classify_large(IXP, *c).action().is_none());
+            }
+        }
+        out.push(r);
+    }
+    out
+}
+
+/// Every member's export equals the reference, and equals it again when
+/// asked a second time (the second answer comes from the kept forms).
+fn assert_exports_match_reference(rs: &mut RouteServer) {
+    let members: Vec<Asn> = rs.members().map(|m| m.asn).collect();
+    for peer in members {
+        let expected = reference_export(rs, peer);
+        for pass in ["first", "second"] {
+            let got: Vec<Route> = rs.export_to(peer).iter().map(|r| Route::clone(r)).collect();
+            assert_eq!(got, expected, "{pass} export to {peer}");
+        }
+    }
+}
+
+fn arb_scrub() -> impl Strategy<Value = ScrubPolicy> {
+    prop_oneof![
+        Just(ScrubPolicy::ActionsOnly),
+        Just(ScrubPolicy::All),
+        Just(ScrubPolicy::None),
+    ]
 }
 
 proptest! {
@@ -140,6 +210,46 @@ proptest! {
         }
     }
 
+    /// The export plane against its reference, through a route's whole
+    /// life: two members announce the same prefix, one of them replaces
+    /// its route with differently tagged ones, withdraws, and leaves. At
+    /// every step each member's export is the reference's — in
+    /// particular never a form kept from a route that is gone.
+    #[test]
+    fn export_equals_reference_through_replacement_and_withdraw(
+        first in arb_spec(),
+        other in arb_spec(),
+        replacement in arb_spec(),
+        blackhole in any::<bool>(),
+        scrub in arb_scrub(),
+    ) {
+        let (a, b) = (Asn(64000), Asn(64001));
+        let mut rs = server_with_config(RsConfig::for_ixp(IXP).with_scrub(scrub), &[a, b]);
+        let mut route = build_route(a, &first);
+        if blackhole {
+            route.standard_communities.push(well_known::BLACKHOLE);
+        }
+        let prefix = route.prefix;
+        prop_assert_eq!(rs.announce(a, route), IngestOutcome::Accepted);
+        prop_assert_eq!(rs.announce(b, build_route(b, &other)), IngestOutcome::Accepted);
+        assert_exports_match_reference(&mut rs);
+
+        prop_assert_eq!(rs.announce(a, build_route(a, &replacement)), IngestOutcome::Accepted);
+        assert_exports_match_reference(&mut rs);
+        // and back, through the wire path
+        let update = bgp_wire::convert::routes_to_update(&[build_route(a, &first)]);
+        prop_assert_eq!(rs.ingest_update(a, &update).unwrap(), vec![IngestOutcome::Accepted]);
+        assert_exports_match_reference(&mut rs);
+
+        prop_assert!(rs.withdraw(a, &prefix));
+        assert_exports_match_reference(&mut rs);
+        prop_assert!(rs.export_to(b).is_empty());
+        rs.remove_member(b);
+        for p in PEERS {
+            prop_assert!(rs.export_to(Asn(p)).is_empty());
+        }
+    }
+
     /// Withdraw after announce always leaves the RS empty for that peer,
     /// no matter the communities involved.
     #[test]
@@ -169,4 +279,47 @@ proptest! {
             prop_assert_eq!(a.decide(Asn(p)), b.decide(Asn(p)));
         }
     }
+}
+
+/// The two sides of the scrub function's `None`/`Some` edge under
+/// `ScrubPolicy::All`, with no informational tags in the way: a route
+/// without communities is exported as the RIB holds it, a blackhole route
+/// whose only community is BLACKHOLE is rebuilt around the RFC 7999 signal
+/// and reads the same.
+#[test]
+fn scrub_all_edge_between_unchanged_and_rebuilt() {
+    let announcer = Asn(64000);
+    let config = RsConfig::for_ixp(IXP)
+        .with_scrub(ScrubPolicy::All)
+        .with_info_tags(0);
+    let spec = ActionSpec {
+        avoid: vec![],
+        only: vec![],
+        avoid_all: false,
+        announce_all: false,
+        prepend: None,
+    };
+
+    let mut rs = server_with_config(config.clone(), &[announcer]);
+    let plain = build_route(announcer, &spec);
+    assert_eq!(
+        rs.announce(announcer, plain.clone()),
+        IngestOutcome::Accepted
+    );
+    let exported = rs.export_to(Asn(PEERS[0]));
+    let stored = rs.accepted().peer(announcer).unwrap();
+    assert!(Arc::ptr_eq(
+        &exported[0],
+        stored.get_shared(&plain.prefix).unwrap()
+    ));
+    assert_exports_match_reference(&mut rs);
+
+    let mut rs = server_with_config(config, &[announcer]);
+    let mut blackhole = plain;
+    blackhole.standard_communities.push(well_known::BLACKHOLE);
+    assert_eq!(rs.announce(announcer, blackhole), IngestOutcome::Accepted);
+    let exported = rs.export_to(Asn(PEERS[0]));
+    assert_eq!(exported[0].standard_communities, [well_known::BLACKHOLE]);
+    assert_eq!(exported[0].next_hop, rs.config().blackhole_next_hop_v4);
+    assert_exports_match_reference(&mut rs);
 }

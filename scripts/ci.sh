@@ -43,6 +43,12 @@ PAR_THREADS=4 cargo test -q --test par_equivalence
 if [[ "$fast" -eq 0 ]]; then
     echo "==> chaos (32-seed fault-injection corpus + JSON differential, release, PAR_THREADS=4)"
     CHAOS_SEEDS="${CHAOS_SEEDS:-32}" PAR_THREADS=4 cargo test -q -p chaos --release
+    # The export plane's own oracle (tests/policy_proptests.rs: every
+    # member's export against a reference worked out without the kept
+    # export forms, through re-announce, withdraw and session down), on
+    # the optimized build — the one the benchmark measures.
+    echo "==> route-server (export property tests, release)"
+    cargo test -q --release -p route-server
 fi
 
 # Streamed/snapshot equivalence oracle. The debug workspace test run
