@@ -107,18 +107,12 @@ impl Ctx {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    // `repro perf` is a separate mode: the bench-regression gate, not a
-    // paper experiment.
-    if args.first().map(String::as_str) == Some("perf") {
-        std::process::exit(run_perf(&args[1..]));
-    }
     let mut scale = 0.1f64;
     let mut seed = 0x1C0FFEEu64;
     let mut ixps: Vec<IxpId> = IxpId::BIG_FOUR.to_vec();
     let mut csv_dir: Option<std::path::PathBuf> = None;
     let mut json_out: Option<std::path::PathBuf> = None;
     let mut trace_out: Option<std::path::PathBuf> = None;
-    let mut incremental = false;
     let mut experiments: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -131,7 +125,6 @@ fn main() {
             "--trace" => {
                 trace_out = Some(std::path::PathBuf::from(it.next().expect("--trace FILE")))
             }
-            "--incremental" => incremental = true,
             "--help" | "-h" => {
                 println!(
                     "repro [--scale F] [--seed N] [--all-ixps] [--csv DIR] [--json FILE] \
@@ -142,16 +135,11 @@ fn main() {
                      corpus (CHAOS_SEEDS=N overrides the seed count)\n\
                      extra (not in `all`): stream — run the BMP-style dual campaign \
                      (streamed feed vs snapshot polls; STREAM_DAYS=N overrides the \
-                     day count, STREAM_SCALE=F the world scale) and print the stream \
-                     metrics + equivalence verdict\n\
-                     stream --incremental: additionally print per-day incremental \
-                     finalize vs batch recompute verdicts and timings; with \
-                     INCREMENTAL_MIN_SPEEDUP=X, exit nonzero below X-fold speedup\n\
+                     day count) and print the stream metrics, the per-day incremental \
+                     finalize vs batch recompute verdicts and timings, and the \
+                     equivalence verdict\n\
                      --trace FILE: record the causal span trace and write it as Chrome \
-                     trace_event JSON (open in Perfetto), plus a self-time table\n\
-                     repro perf --check [--baseline F] [--current F] [--tolerance X]: \
-                     diff a bench snapshot against the committed baseline and exit \
-                     nonzero on regressions (no --current: runs scripts/bench_snapshot.sh)"
+                     trace_event JSON (open in Perfetto), plus a self-time table"
                 );
                 return;
             }
@@ -287,7 +275,7 @@ fn main() {
             "sanitation" => run_sanitation(&ctx),
             "overlap" => run_overlap(&ctx),
             "chaos" => run_chaos(seed),
-            "stream" => run_stream(seed, incremental),
+            "stream" => run_stream(seed),
             other => eprintln!("unknown experiment: {other}"),
         }
     }
@@ -329,90 +317,20 @@ fn main() {
     }
 }
 
-/// `repro perf` — the bench-regression gate. Compares a current bench
-/// snapshot against the committed baseline (`BENCH_5.json`) using the
-/// tolerance bands in `bench::perf` and exits nonzero on regression.
-fn run_perf(args: &[String]) -> i32 {
-    let mut baseline_path = std::path::PathBuf::from("BENCH_5.json");
-    let mut current_path: Option<std::path::PathBuf> = None;
-    let mut tolerance = 1.0f64;
-    let mut check = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--check" => check = true,
-            "--baseline" => {
-                baseline_path = std::path::PathBuf::from(it.next().expect("--baseline FILE"))
-            }
-            "--current" => {
-                current_path = Some(std::path::PathBuf::from(it.next().expect("--current FILE")))
-            }
-            "--tolerance" => {
-                tolerance = it
-                    .next()
-                    .expect("--tolerance X")
-                    .parse()
-                    .expect("tolerance factor")
-            }
-            other => {
-                eprintln!("perf: unknown argument {other:?}");
-                return 2;
-            }
-        }
-    }
-    let _ = check; // `--check` is the only mode; accepted for clarity at call sites
-
-    // No --current: take a fresh snapshot via the script (honors
-    // BENCH_SMOKE / BENCH_REPS / PAR_THREADS).
-    let current_path = match current_path {
-        Some(p) => p,
+/// Read a numeric env override: unset keeps `default`; set but
+/// unparseable exits 2 naming the variable, its value and `expected`,
+/// instead of silently running the default.
+fn env_override<T: std::str::FromStr>(var: &str, expected: &str, default: T) -> T {
+    let Some(raw) = std::env::var_os(var) else {
+        return default;
+    };
+    match raw.to_str().and_then(|s| s.parse().ok()) {
+        Some(v) => v,
         None => {
-            let out = std::path::PathBuf::from("target/bench_current.json");
-            eprintln!("perf: no --current, snapshotting to {}...", out.display());
-            let status = std::process::Command::new("bash")
-                .arg("scripts/bench_snapshot.sh")
-                .arg(&out)
-                .status();
-            match status {
-                Ok(s) if s.success() => out,
-                Ok(s) => {
-                    eprintln!("perf: bench_snapshot.sh failed with {s}");
-                    return 2;
-                }
-                Err(e) => {
-                    eprintln!("perf: cannot run bench_snapshot.sh: {e}");
-                    return 2;
-                }
-            }
+            eprintln!("{var}={raw:?}: expected {expected}");
+            std::process::exit(2);
         }
-    };
-
-    let baseline = match bench::perf::load_snapshot(&baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("perf: {e}");
-            return 2;
-        }
-    };
-    let current = match bench::perf::load_snapshot(&current_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("perf: {e}");
-            return 2;
-        }
-    };
-    if let Some(t) = current.meta.threads {
-        eprintln!(
-            "perf: current run used {t} thread(s){}",
-            match &current.meta.date {
-                Some(d) => format!(", benched {d}"),
-                None => String::new(),
-            }
-        );
     }
-    let d = bench::perf::diff(&baseline, &current, tolerance);
-    print!("{}", d.render());
-    i32::from(d.has_regressions())
 }
 
 /// Pre-flight: statically verify every configured IXP's route-server
@@ -1211,10 +1129,7 @@ fn run_overlap(ctx: &Ctx) {
 fn run_chaos(master_seed: u64) {
     use chaos::prelude::*;
 
-    let seeds: u64 = std::env::var("CHAOS_SEEDS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(8);
+    let seeds: u64 = env_override("CHAOS_SEEDS", "a seed count (u64)", 8);
     let cfg = CampaignConfig::default();
     println!(
         "chaos: {seeds} seed(s), {} days over {:?} at scale {}, {} worker thread(s)",
@@ -1263,28 +1178,17 @@ fn run_chaos(master_seed: u64) {
 /// nonzero if any oracle fires. Not part of `all`: like chaos it
 /// validates the pipeline, not the paper's numbers.
 ///
-/// With `--incremental`, additionally prints the per-day verdict and
-/// timing of the incremental report finalize (O(churn) path) against
-/// the batch recompute over the same end-of-day snapshot, and — when
-/// `INCREMENTAL_MIN_SPEEDUP=X` is set — exits nonzero if the aggregate
-/// speedup falls below `X`-fold (the CI gate).
-fn run_stream(master_seed: u64, incremental: bool) {
+/// Also prints, per day, the verdict and timing of the incremental
+/// report finalize (O(churn) path) against the batch recompute over the
+/// same end-of-day snapshot; a diverged day is an oracle violation.
+fn run_stream(master_seed: u64) {
     use chaos::prelude::*;
 
-    let days: u32 = std::env::var("STREAM_DAYS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(12);
-    let mut cfg = CampaignConfig {
+    let days: u32 = env_override("STREAM_DAYS", "a day count (u32)", 12);
+    let cfg = CampaignConfig {
         days,
         ..CampaignConfig::default()
     };
-    if let Some(scale) = std::env::var("STREAM_SCALE")
-        .ok()
-        .and_then(|s| s.parse().ok())
-    {
-        cfg.scale = scale;
-    }
     let plan = FaultPlan::from_seed(master_seed, cfg.days);
     println!(
         "stream: {days} day(s) over {:?} at scale {}, {} worker thread(s)",
@@ -1337,49 +1241,35 @@ fn run_stream(master_seed: u64, incremental: bool) {
         outcome.dataset_hash
     );
 
-    if incremental {
-        // fold the engine's delta count into the metric registry, then
-        // report the per-day O(churn) finalize against the O(world)
-        // batch recompute the campaign timed alongside it
-        registry
-            .counter(obs::names::ANALYSIS_INCREMENTAL_DELTAS)
-            .add(outcome.incremental_deltas);
+    // fold the engine's delta count into the metric registry, then
+    // report the per-day O(churn) finalize against the O(world)
+    // batch recompute the campaign timed alongside it
+    registry
+        .counter(obs::names::ANALYSIS_INCREMENTAL_DELTAS)
+        .add(outcome.incremental_deltas);
+    println!(
+        "incremental: {} delta(s) consumed, {} underflow(s); per-day finalize vs batch recompute:",
+        outcome.incremental_deltas, outcome.incremental_underflows
+    );
+    let (mut inc_total, mut batch_total) = (0u64, 0u64);
+    for rec in &outcome.days {
+        inc_total += rec.incremental_ns;
+        batch_total += rec.batch_ns;
         println!(
-            "incremental: {} delta(s) consumed, {} underflow(s); per-day finalize vs batch recompute:",
-            outcome.incremental_deltas, outcome.incremental_underflows
+            "  day {:>2}: {} — incremental {:>10} ns, batch {:>12} ns ({:.1}x)",
+            rec.day,
+            if rec.incremental_hash == rec.batch_hash {
+                "reports identical"
+            } else {
+                "reports DIVERGED "
+            },
+            rec.incremental_ns,
+            rec.batch_ns,
+            rec.batch_ns as f64 / rec.incremental_ns.max(1) as f64,
         );
-        let (mut inc_total, mut batch_total) = (0u64, 0u64);
-        for rec in &outcome.days {
-            inc_total += rec.incremental_ns;
-            batch_total += rec.batch_ns;
-            println!(
-                "  day {:>2}: {} — incremental {:>10} ns, batch {:>12} ns ({:.1}x)",
-                rec.day,
-                if rec.incremental_hash == rec.batch_hash {
-                    "reports identical"
-                } else {
-                    "reports DIVERGED "
-                },
-                rec.incremental_ns,
-                rec.batch_ns,
-                rec.batch_ns as f64 / rec.incremental_ns.max(1) as f64,
-            );
-        }
-        let speedup = batch_total as f64 / inc_total.max(1) as f64;
-        println!("  totals: incremental {inc_total} ns vs batch {batch_total} ns — {speedup:.1}x");
-        let min_speedup: f64 = std::env::var("INCREMENTAL_MIN_SPEEDUP")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0.0);
-        if speedup < min_speedup {
-            eprintln!(
-                "stream: incremental speedup {speedup:.1}x is below the required \
-                 {min_speedup:.0}x (scale {}, {days} day(s))",
-                cfg.scale
-            );
-            std::process::exit(1);
-        }
     }
+    let speedup = batch_total as f64 / inc_total.max(1) as f64;
+    println!("  totals: incremental {inc_total} ns vs batch {batch_total} ns — {speedup:.1}x");
 
     let diverged = outcome
         .days

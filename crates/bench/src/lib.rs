@@ -1,10 +1,9 @@
-//! Shared helpers for the benchmarks and the `repro` binary: build the
+//! Shared helpers for the `repro` binary and its golden tests: build the
 //! world once, collect snapshots, and hold the paper's published numbers
-//! for side-by-side comparison.
+//! for side-by-side comparison. Performance is measured by the separate
+//! `benchmark/` package, not here.
 
 #![forbid(unsafe_code)]
-
-pub mod perf;
 
 use bgp_model::prefix::Afi;
 use community_dict::dictionary::Dictionary;

@@ -13,10 +13,15 @@ fn corpus_seeds() -> Vec<u64> {
     // plain debug `cargo test` keeps a smaller default so tier-1 stays
     // quick on small machines
     let default = if cfg!(debug_assertions) { 8 } else { 32 };
-    let n: u64 = std::env::var("CHAOS_SEEDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default);
+    // unset keeps the default; a set but unparseable value fails the
+    // suite rather than quietly running the default corpus
+    let n: u64 = match std::env::var_os("CHAOS_SEEDS") {
+        None => default,
+        Some(raw) => raw
+            .to_str()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("CHAOS_SEEDS={raw:?}: expected a seed count (u64)")),
+    };
     (0..n).collect()
 }
 

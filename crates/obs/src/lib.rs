@@ -22,8 +22,8 @@
 //! Handles are minted once with [`Registry::counter`] / [`Registry::gauge`] /
 //! [`Registry::histogram`] (get-or-create by name) and are then cheap to clone
 //! and hammer from any thread. A registry built with [`Registry::noop`] hands
-//! out inert handles whose operations compile to a branch on `None` — this is
-//! what the overhead benchmark in `crates/bench/benches/obs.rs` measures.
+//! out inert handles whose operations compile to a branch on `None`; a live
+//! handle's operations never allocate (asserted by `tests/alloc_free.rs`).
 //!
 //! # Spans
 //!

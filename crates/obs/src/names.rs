@@ -195,10 +195,10 @@ pub const ANALYSIS_INCREMENTAL_DELTAS: &str = "analysis.incremental.deltas";
 /// unless a route was retracted without having been applied.
 pub const ANALYSIS_INCREMENTAL_UNDERFLOW: &str = "analysis.incremental.underflow";
 /// Histogram: nanoseconds to advance the engine by one day of churn and
-/// finalize (recorded by `repro stream --incremental`).
+/// finalize (recorded by the chaos stream campaign).
 pub const ANALYSIS_INCREMENTAL_DAY_NS: &str = "analysis.incremental.day_ns";
 /// Histogram: nanoseconds for the batch `full_report` recompute of the
-/// same day (the comparison `repro stream --incremental` prints).
+/// same day (the comparison `repro stream` prints).
 pub const ANALYSIS_BATCH_DAY_NS: &str = "analysis.batch.day_ns";
 
 // --- repro binary ---
