@@ -1,149 +1,221 @@
 //! Property-based tests for the core data model invariants.
 
-use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
+use std::net::IpAddr;
 
 use bgp_model::prelude::*;
-use proptest::prelude::*;
+use prop::{assert_holds, CheckConfig, Choices};
 
-fn arb_prefix_v4() -> impl Strategy<Value = Prefix> {
-    (any::<u32>(), 0u8..=32)
-        .prop_map(|(bits, len)| Prefix::new(IpAddr::V4(Ipv4Addr::from(bits)), len).unwrap())
+/// Every property here runs 256 cases.
+const CASES: CheckConfig = CheckConfig::new(0xB9_0DE1, 256);
+
+/// A v4 or v6 prefix; `Prefix::new` zeroes the host bits.
+fn gen_prefix(c: &mut Choices) -> Prefix {
+    let (addr, max_len) = match c.draw(1) {
+        0 => (IpAddr::V4(gen_u32(c).into()), 32),
+        _ => {
+            let hi = u128::from(c.draw(u64::MAX)) << 64;
+            (IpAddr::V6((hi | u128::from(c.draw(u64::MAX))).into()), 128)
+        }
+    };
+    Prefix::new(addr, c.draw(max_len) as u8).expect("length fits the family")
 }
 
-fn arb_prefix_v6() -> impl Strategy<Value = Prefix> {
-    (any::<u128>(), 0u8..=128)
-        .prop_map(|(bits, len)| Prefix::new(IpAddr::V6(Ipv6Addr::from(bits)), len).unwrap())
+/// 1..8 ASNs, each in 1..400_000.
+fn gen_aspath(c: &mut Choices) -> AsPath {
+    let gen_asn = |c: &mut Choices| Asn(1 + c.draw(399_998) as u32);
+    let mut asns = vec![gen_asn(c)];
+    asns.extend(c.draw_list(6, 600, gen_asn));
+    AsPath::from_sequence(asns)
 }
 
-fn arb_prefix() -> impl Strategy<Value = Prefix> {
-    prop_oneof![arb_prefix_v4(), arb_prefix_v6()]
+fn gen_u16(c: &mut Choices) -> u16 {
+    c.draw(u64::from(u16::MAX)) as u16
 }
 
-fn arb_aspath() -> impl Strategy<Value = AsPath> {
-    proptest::collection::vec(1u32..400_000, 1..8)
-        .prop_map(|v| AsPath::from_sequence(v.into_iter().map(Asn)))
+fn gen_u32(c: &mut Choices) -> u32 {
+    c.draw(u64::from(u32::MAX)) as u32
 }
 
-proptest! {
-    #[test]
-    fn prefix_display_parse_roundtrip(p in arb_prefix()) {
-        let s = p.to_string();
-        let back: Prefix = s.parse().unwrap();
-        prop_assert_eq!(back, p);
-    }
+/// An ASN in 1..100_000.
+fn gen_origin(c: &mut Choices) -> u32 {
+    1 + c.draw(99_998) as u32
+}
 
-    #[test]
-    fn prefix_canonical_idempotent(p in arb_prefix()) {
+#[test]
+fn prefix_display_parse_roundtrip() {
+    assert_holds(&CASES, gen_prefix, |p| {
+        let back: Prefix = p.to_string().parse().expect("displayed prefix parses");
+        assert_eq!(back, *p);
+        true
+    });
+}
+
+#[test]
+fn prefix_canonical_idempotent() {
+    assert_holds(&CASES, gen_prefix, |p| {
         // re-canonicalizing an already-canonical prefix changes nothing
-        let again = Prefix::new(p.addr(), p.len()).unwrap();
-        prop_assert_eq!(again, p);
-    }
+        let again = Prefix::new(p.addr(), p.len()).expect("canonical prefix is valid");
+        assert_eq!(again, *p);
+        true
+    });
+}
 
-    #[test]
-    fn prefix_contains_reflexive(p in arb_prefix()) {
-        prop_assert!(p.contains(&p));
-    }
+#[test]
+fn prefix_contains_reflexive() {
+    assert_holds(&CASES, gen_prefix, |p| {
+        assert!(p.contains(p));
+        true
+    });
+}
 
-    #[test]
-    fn prefix_containment_antisymmetric(a in arb_prefix(), b in arb_prefix()) {
-        if a.contains(&b) && b.contains(&a) {
-            prop_assert_eq!(a, b);
+#[test]
+fn prefix_containment_antisymmetric() {
+    let gen = |c: &mut Choices| (gen_prefix(c), gen_prefix(c));
+    assert_holds(&CASES, gen, |(a, b)| {
+        if a.contains(b) && b.contains(a) {
+            assert_eq!(a, b);
         }
-    }
+        true
+    });
+}
 
-    #[test]
-    fn prefix_contains_implies_shorter(a in arb_prefix(), b in arb_prefix()) {
-        if a.contains(&b) {
-            prop_assert!(a.len() <= b.len());
-            prop_assert_eq!(a.afi(), b.afi());
+#[test]
+fn prefix_contains_implies_shorter() {
+    let gen = |c: &mut Choices| (gen_prefix(c), gen_prefix(c));
+    assert_holds(&CASES, gen, |(a, b)| {
+        if a.contains(b) {
+            assert!(a.len() <= b.len());
+            assert_eq!(a.afi(), b.afi());
         }
-    }
+        true
+    });
+}
 
-    #[test]
-    fn standard_community_parts_roundtrip(hi in any::<u16>(), lo in any::<u16>()) {
+#[test]
+fn standard_community_parts_roundtrip() {
+    let gen = |c: &mut Choices| (gen_u16(c), gen_u16(c));
+    assert_holds(&CASES, gen, |&(hi, lo)| {
         let c = StandardCommunity::from_parts(hi, lo);
-        prop_assert_eq!(c.high(), hi);
-        prop_assert_eq!(c.low(), lo);
-        let parsed: StandardCommunity = c.to_string().parse().unwrap();
-        prop_assert_eq!(parsed, c);
-    }
+        assert_eq!(c.high(), hi);
+        assert_eq!(c.low(), lo);
+        let parsed: StandardCommunity = c.to_string().parse().expect("community parses");
+        assert_eq!(parsed, c);
+        true
+    });
+}
 
-    #[test]
-    fn large_community_text_roundtrip(g in any::<u32>(), a in any::<u32>(), b in any::<u32>()) {
+#[test]
+fn large_community_text_roundtrip() {
+    let gen = |c: &mut Choices| (gen_u32(c), gen_u32(c), gen_u32(c));
+    assert_holds(&CASES, gen, |&(g, a, b)| {
         let c = LargeCommunity::new(g, a, b);
-        let parsed: LargeCommunity = c.to_string().parse().unwrap();
-        prop_assert_eq!(parsed, c);
-    }
+        let parsed: LargeCommunity = c.to_string().parse().expect("large community parses");
+        assert_eq!(parsed, c);
+        true
+    });
+}
 
-    #[test]
-    fn extended_two_octet_kind_roundtrip(st in any::<u8>(), asn in any::<u16>(), local in any::<u32>()) {
+#[test]
+fn extended_two_octet_kind_roundtrip() {
+    let gen = |c: &mut Choices| (c.draw(0xFF) as u8, gen_u16(c), gen_u32(c));
+    assert_holds(&CASES, gen, |&(st, asn, local)| {
         let e = ExtendedCommunity::two_octet_as(st, asn, local);
         match e.kind() {
-            bgp_model::community::ExtendedKind::TwoOctetAsSpecific { subtype, asn: a, local: l, transitive } => {
-                prop_assert!(transitive);
-                prop_assert_eq!(subtype, st);
-                prop_assert_eq!(a, Asn(asn as u32));
-                prop_assert_eq!(l, local);
+            bgp_model::community::ExtendedKind::TwoOctetAsSpecific {
+                subtype,
+                asn: a,
+                local: l,
+                transitive,
+            } => {
+                assert!(transitive);
+                assert_eq!(subtype, st);
+                assert_eq!(a, Asn(asn as u32));
+                assert_eq!(l, local);
             }
-            k => prop_assert!(false, "unexpected kind {:?}", k),
+            k => panic!("unexpected kind {k:?}"),
         }
-    }
+        true
+    });
+}
 
-    #[test]
-    fn aspath_prepend_extends_length(p in arb_aspath(), asn in 1u32..100_000, n in 1usize..6) {
-        let q = p.prepend(Asn(asn), n);
-        prop_assert_eq!(q.path_len(), p.path_len() + n);
-        prop_assert_eq!(q.first_asn(), Some(Asn(asn)));
+#[test]
+fn aspath_prepend_extends_length() {
+    // n in 1..6
+    let gen = |c: &mut Choices| (gen_aspath(c), gen_origin(c), 1 + c.draw(4) as usize);
+    assert_holds(&CASES, gen, |(p, asn, n)| {
+        let q = p.prepend(Asn(*asn), *n);
+        assert_eq!(q.path_len(), p.path_len() + n);
+        assert_eq!(q.first_asn(), Some(Asn(*asn)));
         // origin unchanged by prepending
-        prop_assert_eq!(q.origin_asn(), p.origin_asn());
-    }
+        assert_eq!(q.origin_asn(), p.origin_asn());
+        true
+    });
+}
 
-    #[test]
-    fn aspath_prepend_preserves_contains(p in arb_aspath(), asn in 1u32..100_000) {
-        let q = p.prepend(Asn(asn), 2);
-        prop_assert!(q.contains(Asn(asn)));
+#[test]
+fn aspath_prepend_preserves_contains() {
+    let gen = |c: &mut Choices| (gen_aspath(c), gen_origin(c));
+    assert_holds(&CASES, gen, |(p, asn)| {
+        let q = p.prepend(Asn(*asn), 2);
+        assert!(q.contains(Asn(*asn)));
         for a in p.iter_asns() {
-            prop_assert!(q.contains(a));
+            assert!(q.contains(a));
         }
-    }
+        true
+    });
+}
 
-    #[test]
-    fn community_serde_roundtrip(hi in any::<u16>(), lo in any::<u16>(), g in any::<u32>()) {
+#[test]
+fn community_serde_roundtrip() {
+    let gen = |c: &mut Choices| (gen_u16(c), gen_u16(c), gen_u32(c));
+    assert_holds(&CASES, gen, |&(hi, lo, g)| {
         let cs = vec![
             Community::Standard(StandardCommunity::from_parts(hi, lo)),
             Community::Large(LargeCommunity::new(g, hi as u32, lo as u32)),
             Community::Extended(ExtendedCommunity::two_octet_as(2, hi, g)),
         ];
-        let js = serde_json::to_string(&cs).unwrap();
-        let back: Vec<Community> = serde_json::from_str(&js).unwrap();
-        prop_assert_eq!(back, cs);
-    }
+        let js = serde_json::to_string(&cs).expect("communities serialize");
+        let back: Vec<Community> = serde_json::from_str(&js).expect("communities deserialize");
+        assert_eq!(back, cs);
+        true
+    });
+}
 
-    #[test]
-    fn rib_announce_then_withdraw_is_noop(p in arb_prefix(), origin in 1u32..100_000) {
+#[test]
+fn rib_announce_then_withdraw_is_noop() {
+    let gen = |c: &mut Choices| (gen_prefix(c), gen_origin(c));
+    assert_holds(&CASES, gen, |&(p, origin)| {
         let mut rib = PeerRib::new();
-        let nh: IpAddr = "198.32.0.9".parse().unwrap();
+        let nh: IpAddr = "198.32.0.9".parse().expect("literal next hop");
         let route = Route::builder(p, nh).path([origin]).build();
         rib.announce(route);
-        prop_assert_eq!(rib.len(), 1);
+        assert_eq!(rib.len(), 1);
         rib.withdraw(&p);
-        prop_assert!(rib.is_empty());
-    }
+        assert!(rib.is_empty());
+        true
+    });
+}
 
-    #[test]
-    fn rib_replace_keeps_single_entry(p in arb_prefix(), o1 in 1u32..100_000, o2 in 1u32..100_000) {
+#[test]
+fn rib_replace_keeps_single_entry() {
+    let gen = |c: &mut Choices| (gen_prefix(c), gen_origin(c), gen_origin(c));
+    assert_holds(&CASES, gen, |&(p, o1, o2)| {
         let mut rib = PeerRib::new();
-        let nh: IpAddr = "198.32.0.9".parse().unwrap();
+        let nh: IpAddr = "198.32.0.9".parse().expect("literal next hop");
         rib.announce(Route::builder(p, nh).path([o1]).build());
         rib.announce(Route::builder(p, nh).path([o2]).build());
-        prop_assert_eq!(rib.len(), 1);
-        prop_assert_eq!(rib.get(&p).unwrap().origin_asn(), Some(Asn(o2)));
-    }
+        assert_eq!(rib.len(), 1);
+        assert_eq!(rib.get(&p).expect("announced").origin_asn(), Some(Asn(o2)));
+        true
+    });
+}
 
-    #[test]
-    fn asn_parse_display_roundtrip(v in any::<u32>()) {
+#[test]
+fn asn_parse_display_roundtrip() {
+    assert_holds(&CASES, gen_u32, |&v| {
         let a = Asn(v);
-        let parsed: Asn = a.to_string().parse().unwrap();
-        prop_assert_eq!(parsed, a);
-    }
+        let parsed: Asn = a.to_string().parse().expect("displayed ASN parses");
+        assert_eq!(parsed, a);
+        true
+    });
 }

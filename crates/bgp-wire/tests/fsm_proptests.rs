@@ -5,7 +5,10 @@ use bgp_model::asn::Asn;
 use bgp_wire::fsm::{run_pair, Action, Config, Event, Fsm, State};
 use bgp_wire::message::{Message, UpdateMessage};
 use bytes::BytesMut;
-use proptest::prelude::*;
+use prop::{assert_holds, CheckConfig, Choices};
+
+/// Every property here runs 256 cases.
+const CASES: CheckConfig = CheckConfig::new(0xF5A0, 256);
 
 #[derive(Debug, Clone)]
 enum Input {
@@ -19,17 +22,18 @@ enum Input {
     Tick(u64),
 }
 
-fn arb_input() -> impl Strategy<Value = Input> {
-    prop_oneof![
-        Just(Input::ManualStart),
-        Just(Input::ManualStop),
-        Just(Input::TransportUp),
-        Just(Input::TransportDown),
-        proptest::collection::vec(any::<u8>(), 0..64).prop_map(Input::Garbage),
-        Just(Input::ValidKeepalive),
-        Just(Input::ValidUpdate),
-        (0u64..200_000).prop_map(Input::Tick),
-    ]
+fn gen_input(c: &mut Choices) -> Input {
+    match c.draw(7) {
+        0 => Input::ManualStart,
+        1 => Input::ManualStop,
+        2 => Input::TransportUp,
+        3 => Input::TransportDown,
+        // 0..64 arbitrary bytes
+        4 => Input::Garbage(c.draw_list(63, 970, |c| c.draw(0xFF) as u8)),
+        5 => Input::ValidKeepalive,
+        6 => Input::ValidUpdate,
+        _ => Input::Tick(c.draw(199_999)),
+    }
 }
 
 fn to_event(input: &Input) -> Event {
@@ -51,65 +55,82 @@ fn to_event(input: &Input) -> Event {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+fn fsm() -> Fsm {
+    Fsm::new(Config::new(Asn(39120), "192.0.2.1".parse().unwrap()))
+}
 
-    /// Absolutely any event sequence must be handled without panicking,
-    /// and every SessionUp must be preceded by reaching Established.
-    #[test]
-    fn fsm_never_panics(inputs in proptest::collection::vec(arb_input(), 0..40)) {
-        let mut fsm = Fsm::new(Config::new(Asn(39120), "192.0.2.1".parse().unwrap()));
-        for input in &inputs {
+fn peer() -> Fsm {
+    Fsm::new(Config::new(Asn(6939), "192.0.2.2".parse().unwrap()))
+}
+
+/// Absolutely any event sequence must be handled without panicking,
+/// and every SessionUp must be preceded by reaching Established.
+#[test]
+fn fsm_never_panics() {
+    // 0..40 inputs
+    let gen = |c: &mut Choices| c.draw_list(39, 950, gen_input);
+    assert_holds(&CASES, gen, |inputs: &Vec<Input>| {
+        let mut fsm = fsm();
+        for input in inputs {
             let state_before = fsm.state();
             let actions = fsm.handle(to_event(input));
             for a in &actions {
                 if matches!(a, Action::SessionUp(_)) {
-                    prop_assert_eq!(fsm.state(), State::Established);
+                    assert_eq!(fsm.state(), State::Established);
                 }
                 if matches!(a, Action::DeliverUpdate(_)) {
                     // updates are only delivered while established
-                    prop_assert_eq!(state_before, State::Established);
+                    assert_eq!(state_before, State::Established);
                 }
             }
         }
-    }
+        true
+    });
+}
 
-    /// After any battering, ManualStart + a fresh handshake still works:
-    /// the FSM must never wedge.
-    #[test]
-    fn fsm_always_restartable(inputs in proptest::collection::vec(arb_input(), 0..30)) {
-        let mut fsm = Fsm::new(Config::new(Asn(39120), "192.0.2.1".parse().unwrap()));
-        for input in &inputs {
+/// After any battering, ManualStart + a fresh handshake still works:
+/// the FSM must never wedge.
+#[test]
+fn fsm_always_restartable() {
+    // 0..30 inputs
+    let gen = |c: &mut Choices| c.draw_list(29, 940, gen_input);
+    assert_holds(&CASES, gen, |inputs: &Vec<Input>| {
+        let mut fsm = fsm();
+        for input in inputs {
             let _ = fsm.handle(to_event(input));
         }
         // force back to Idle however it ended up
         fsm.handle(Event::ManualStop);
         fsm.handle(Event::TransportDown);
-        prop_assert_eq!(fsm.state(), State::Idle);
+        assert_eq!(fsm.state(), State::Idle);
         // a clean bring-up against a fresh peer must succeed
-        let mut peer = Fsm::new(Config::new(Asn(6939), "192.0.2.2".parse().unwrap()));
+        let mut peer = peer();
         run_pair(&mut fsm, &mut peer);
-        prop_assert_eq!(fsm.state(), State::Established);
-        prop_assert_eq!(peer.state(), State::Established);
-    }
+        assert_eq!(fsm.state(), State::Established);
+        assert_eq!(peer.state(), State::Established);
+        true
+    });
+}
 
-    /// Fragmented delivery: a valid byte stream chopped at arbitrary
-    /// points decodes identically to one-shot delivery.
-    #[test]
-    fn fragmentation_is_transparent(cut in 1usize..18) {
-        let mut a = Fsm::new(Config::new(Asn(39120), "192.0.2.1".parse().unwrap()));
-        let mut b = Fsm::new(Config::new(Asn(6939), "192.0.2.2".parse().unwrap()));
+/// Fragmented delivery: a valid byte stream chopped at any point decodes
+/// identically to one-shot delivery. All 17 cuts, exhaustively.
+#[test]
+fn fragmentation_is_transparent() {
+    for cut in 1usize..18 {
+        let mut a = fsm();
+        let mut b = peer();
         run_pair(&mut a, &mut b);
         let Action::Send(wire) = a.send_update(UpdateMessage::default()).unwrap() else {
             panic!()
         };
         let cut = cut.min(wire.len() - 1);
         let mut acts = b.handle(Event::BytesReceived(BytesMut::from(&wire[..cut])));
-        prop_assert!(acts.is_empty(), "no action from a partial frame");
+        assert!(acts.is_empty(), "no action from a partial frame");
         acts.extend(b.handle(Event::BytesReceived(BytesMut::from(&wire[cut..]))));
-        prop_assert_eq!(
+        assert_eq!(
             acts,
-            vec![Action::DeliverUpdate(UpdateMessage::default())]
+            vec![Action::DeliverUpdate(UpdateMessage::default())],
+            "cut at {cut}"
         );
     }
 }

@@ -6,11 +6,12 @@
 //! comes from a seed-derived [`plan::FaultPlan`], and every failure is
 //! replayable from the `(seed, fault_plan)` pair the harness prints.
 //!
+//! Fault plans and property inputs are drawn from the `prop` crate's
+//! recorded choice streams, so a failing campaign shrinks to a minimal
+//! plan like any other property; the [`prelude`] re-exports the engine.
+//!
 //! The pieces:
 //!
-//! - [`prop`] — an in-tree property-testing mini-framework with
-//!   Hypothesis-style integrated shrinking over recorded choice streams
-//!   (the vendored `proptest` stand-in deliberately has none);
 //! - [`plan`] — fault plans: dropped/duplicated/delayed responses,
 //!   garbage frames, out-of-order and truncated route pages, rate-limit
 //!   storms, flapping peers, RIB churn between pages, monitoring-session
@@ -45,7 +46,6 @@ pub mod inject;
 mod metrics;
 pub mod oracle;
 pub mod plan;
-pub mod prop;
 
 /// Common imports for chaos tests.
 pub mod prelude {
@@ -58,5 +58,5 @@ pub mod prelude {
     pub use crate::inject::{ChaosTransport, InjectStats};
     pub use crate::oracle::{check_campaign, check_determinism, check_stream_campaign, Violation};
     pub use crate::plan::{FaultClass, FaultPlan};
-    pub use crate::prop::{check, iteration_seed, CheckConfig, Choices, CounterExample};
+    pub use prop::{assert_holds, check, iteration_seed, CheckConfig, Choices, CounterExample};
 }

@@ -6,7 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::prop::Choices;
+use prop::Choices;
 
 /// The fault classes the harness injects, one per injection mechanism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

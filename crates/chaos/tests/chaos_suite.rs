@@ -115,28 +115,16 @@ fn corpus_plans_cover_every_fault_class() {
 fn property_random_plans_preserve_all_invariants() {
     let cfg = CampaignConfig::default();
     let days = cfg.days;
-    let gen = move |c: &mut Choices| {
-        let seed = c.draw(0xFFFF);
-        let plan = FaultPlan::from_choices(c, days);
-        (seed, plan)
+    let gen = move |c: &mut Choices| (c.draw(0xFFFF), FaultPlan::from_choices(c, days));
+    let config = CheckConfig {
+        max_shrink_attempts: 60,
+        ..CheckConfig::new(0x5EED_CA5E, 6)
     };
-    let result = chaos::prop::check(
-        &CheckConfig {
-            seed: 0x5EED_CA5E,
-            iterations: 6,
-            max_shrink_attempts: 60,
-        },
-        gen,
-        |(seed, plan)| run_seed(*seed, plan, &cfg).is_empty(),
-    );
-    if let Err(ce) = result {
-        let (seed, plan) = &ce.value;
+    assert_holds(&config, gen, |(seed, plan)| {
         let violations = run_seed(*seed, plan, &cfg);
-        panic!(
-            "shrunk counterexample after {} step(s) (iteration seed {:#x}):\n  \
-             seed={seed} plan={}\n  violations:\n  {}\n{}",
-            ce.shrink_steps,
-            ce.seed,
+        assert!(
+            violations.is_empty(),
+            "seed={seed} plan={}\n  violations:\n  {}\n{}",
             plan.to_json(),
             violations
                 .iter()
@@ -145,7 +133,8 @@ fn property_random_plans_preserve_all_invariants() {
                 .join("\n  "),
             replay_hint(*seed, plan)
         );
-    }
+        true
+    });
 }
 
 /// Replay entry point: run `(seed, plan)` from the CHAOS_REPLAY env var

@@ -72,9 +72,7 @@ fn gen_event(c: &mut Choices) -> RibEvent {
 /// delete whole trailing events without misaligning later draws.
 fn gen_log(c: &mut Choices) -> Vec<RibEvent> {
     let mut events = vec![gen_event(c)];
-    while events.len() < 24 && c.draw_bool(850) {
-        events.push(gen_event(c));
-    }
+    events.extend(c.draw_list(23, 850, gen_event));
     events
 }
 
@@ -102,9 +100,7 @@ struct Workload {
 fn gen_workload(c: &mut Choices) -> Workload {
     let base = gen_log(c);
     let mut perturb = vec![gen_perturb(c)];
-    while perturb.len() < 8 && c.draw_bool(700) {
-        perturb.push(gen_perturb(c));
-    }
+    perturb.extend(c.draw_list(7, 700, gen_perturb));
     Workload { base, perturb }
 }
 
@@ -146,11 +142,6 @@ fn run<'a, I: IntoIterator<Item = &'a RibEvent>>(events: I) -> (RouterState, Inc
 /// counter, histogram, sketch and float derived from them.
 #[test]
 fn retract_is_the_exact_inverse_of_apply() {
-    let config = CheckConfig {
-        seed: 0x1F5E0,
-        iterations: 128,
-        ..CheckConfig::default()
-    };
     let prop = |w: &Workload| {
         let (mut state, mut inc) = run(&w.base);
         let before = report_json(&inc);
@@ -160,14 +151,10 @@ fn retract_is_the_exact_inverse_of_apply() {
         for ev in undo_of(&w.perturb) {
             state.apply_with(&ev, &mut inc);
         }
-        report_json(&inc) == before
+        assert!(report_json(&inc) == before, "retract did not invert apply");
+        true
     };
-    if let Err(ce) = check(&config, gen_workload, prop) {
-        panic!(
-            "retract did not invert apply (shrunk over {} step(s)):\n  {:?}\n  choices: {:?}",
-            ce.shrink_steps, ce.value, ce.choices
-        );
-    }
+    assert_holds(&CheckConfig::new(0x1F5E0, 128), gen_workload, prop);
 }
 
 /// Merging per-peer shards is associative and commutative: every merge
@@ -175,11 +162,6 @@ fn retract_is_the_exact_inverse_of_apply() {
 /// engine that saw the whole log.
 #[test]
 fn shard_merge_is_associative_and_commutative() {
-    let config = CheckConfig {
-        seed: 0x1F5E1,
-        iterations: 96,
-        ..CheckConfig::default()
-    };
     let shard_of = |ev: &RibEvent| -> usize {
         let peer = match ev {
             RibEvent::PeerUp { peer, .. }
@@ -197,19 +179,18 @@ fn shard_merge_is_associative_and_commutative() {
         let expected = report_json(&whole);
         // ((a ⊔ b) ⊔ c), ((c ⊔ a) ⊔ b), ((b ⊔ c) ⊔ a): any association
         // and order of the same shards must rebuild the same report
-        [[0, 1, 2], [2, 0, 1], [1, 2, 0]].iter().all(|order| {
+        for order in [[0, 1, 2], [2, 0, 1], [1, 2, 0]] {
             let mut merged = shards[order[0]].clone();
             merged.merge(&shards[order[1]]);
             merged.merge(&shards[order[2]]);
-            report_json(&merged) == expected
-        })
+            assert!(
+                report_json(&merged) == expected,
+                "shard merge is order-sensitive: merge order {order:?}"
+            );
+        }
+        true
     };
-    if let Err(ce) = check(&config, gen_log, prop) {
-        panic!(
-            "shard merge is order-sensitive (shrunk over {} step(s)):\n  {:?}\n  choices: {:?}",
-            ce.shrink_steps, ce.value, ce.choices
-        );
-    }
+    assert_holds(&CheckConfig::new(0x1F5E1, 96), gen_log, prop);
 }
 
 /// The shrinking demonstration: disable retraction and the inverse
@@ -218,9 +199,8 @@ fn shard_merge_is_associative_and_commutative() {
 #[test]
 fn shrinking_minimizes_to_a_single_unretracted_announce() {
     let config = CheckConfig {
-        seed: 0x1F5E2,
-        iterations: 200,
         max_shrink_attempts: 4_000,
+        ..CheckConfig::new(0x1F5E2, 200)
     };
     let result = check(&config, gen_workload, |w: &Workload| {
         let (mut state, mut inc) = run(&w.base);

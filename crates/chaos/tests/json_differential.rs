@@ -362,8 +362,14 @@ fn gen_mutated_frame(c: &mut Choices) -> Vec<u8> {
     frame
 }
 
-fn lossy(bytes: &[u8]) -> String {
-    String::from_utf8_lossy(bytes).into_owned()
+/// The reading property, with the text shown as text when it fails.
+fn agree(bytes: &[u8]) -> bool {
+    assert!(
+        reads_agree_for_every_type(bytes),
+        "from_str and from_value(parse_value) disagree (or one panicked) on {:?}",
+        String::from_utf8_lossy(bytes)
+    );
+    true
 }
 
 #[test]
@@ -372,15 +378,7 @@ fn arbitrary_bytes_read_the_same_with_and_without_the_tree() {
         iterations: 4_000,
         ..CheckConfig::default()
     };
-    if let Err(ce) = check(&config, gen_bytes, |b| reads_agree_for_every_type(b)) {
-        panic!(
-            "from_str and from_value(parse_value) disagree (or one panicked) on {:?} \
-             (seed {}, choices {:?})",
-            lossy(&ce.value),
-            ce.seed,
-            ce.choices
-        );
-    }
+    assert_holds(&config, gen_bytes, |b| agree(b));
 }
 
 #[test]
@@ -396,17 +394,7 @@ fn mutated_frames_read_the_same_with_and_without_the_tree() {
         iterations: 3_000,
         ..CheckConfig::default()
     };
-    if let Err(ce) = check(&config, gen_mutated_frame, |b| {
-        reads_agree_for_every_type(b)
-    }) {
-        panic!(
-            "from_str and from_value(parse_value) disagree (or one panicked) on {:?} \
-             (seed {}, choices {:?})",
-            lossy(&ce.value),
-            ce.seed,
-            ce.choices
-        );
-    }
+    assert_holds(&config, gen_mutated_frame, |b| agree(b));
 }
 
 #[test]

@@ -62,13 +62,8 @@ struct Scenario {
 }
 
 fn gen_scenario_with_replays(c: &mut Choices, replay_per_mille: u64) -> Scenario {
-    // continue-flag event list (not count-prefixed): deleting one
-    // frame's aligned draws keeps everything after it aligned, which is
-    // what lets the shrinker remove whole frames
     let mut events = vec![gen_event(c)];
-    while events.len() < 40 && c.draw_bool(900) {
-        events.push(gen_event(c));
-    }
+    events.extend(c.draw_list(39, 900, gen_event));
     let n = events.len();
     let frames = events
         .into_iter()
@@ -139,47 +134,35 @@ fn snapshots_equal(a: &RouterState, b: &RouterState) -> bool {
 /// the log once, in order.
 #[test]
 fn any_replayed_delivery_converges_to_sequential_application() {
-    let config = CheckConfig {
-        seed: 0x57AE0,
-        iterations: 160,
-        ..CheckConfig::default()
-    };
     let prop = |s: &Scenario| {
         let interleaved = deliver(s, true);
         let reference = sequential(s);
-        snapshots_equal(&interleaved, &reference)
-            && interleaved.stats().applied == s.frames.len() as u64
-            && reference.stats().applied == s.frames.len() as u64
-            && interleaved.stats().synth_withdraws == reference.stats().synth_withdraws
-            && interleaved.cursor() == s.frames.len() as u64
-    };
-    if let Err(ce) = check(&config, gen_scenario, prop) {
-        panic!(
-            "delivery does not converge (shrunk over {} step(s)):\n  {:?}\n  replay choices: {:?}",
-            ce.shrink_steps, ce.value, ce.choices
+        assert!(
+            snapshots_equal(&interleaved, &reference)
+                && interleaved.stats().applied == s.frames.len() as u64
+                && reference.stats().applied == s.frames.len() as u64
+                && interleaved.stats().synth_withdraws == reference.stats().synth_withdraws
+                && interleaved.cursor() == s.frames.len() as u64,
+            "delivery does not converge"
         );
-    }
+        true
+    };
+    assert_holds(&CheckConfig::new(0x57AE0, 160), gen_scenario, prop);
 }
 
 /// Without replays there is nothing to dedup: a plain paginated delivery
 /// applies every frame exactly once and drops nothing.
 #[test]
 fn paginated_delivery_without_replays_drops_nothing() {
-    let config = CheckConfig {
-        seed: 0x57AE1,
-        iterations: 96,
-        ..CheckConfig::default()
-    };
-    let prop = |s: &Scenario| {
-        let state = deliver(s, true);
-        state.stats().dupes_dropped == 0 && state.stats().applied == s.frames.len() as u64
-    };
-    if let Err(ce) = check(&config, |c| gen_scenario_with_replays(c, 0), prop) {
-        panic!(
-            "replay-free delivery misbehaved (shrunk over {} step(s)):\n  {:?}",
-            ce.shrink_steps, ce.value
+    let gen = |c: &mut Choices| gen_scenario_with_replays(c, 0);
+    assert_holds(&CheckConfig::new(0x57AE1, 96), gen, |s: &Scenario| {
+        let stats = deliver(s, true).stats();
+        assert_eq!(
+            (stats.dupes_dropped, stats.applied),
+            (0, s.frames.len() as u64)
         );
-    }
+        true
+    });
 }
 
 /// The shrinking demonstration: turn dedup off and the conservation
@@ -188,9 +171,8 @@ fn paginated_delivery_without_replays_drops_nothing() {
 #[test]
 fn shrinking_minimizes_to_a_single_replayed_frame() {
     let config = CheckConfig {
-        seed: 0x57AE2,
-        iterations: 300,
         max_shrink_attempts: 4_000,
+        ..CheckConfig::new(0x57AE2, 300)
     };
     let result = check(&config, gen_scenario, |s: &Scenario| {
         deliver(s, false).stats().applied == s.frames.len() as u64

@@ -520,7 +520,7 @@ mod tests {
         let mut client = TcpLgClient::connect(server.addr()).unwrap();
         let client_ids;
         {
-            let _span = registry.span("lg.client.collect_ms");
+            let _span = registry.span(obs::names::SIM_COLLECT_IXP);
             client_ids = obs::trace::capture()
                 .and_then(|c| c.ids)
                 .expect("tracing on");

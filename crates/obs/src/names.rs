@@ -15,6 +15,12 @@
 //! [`ALL`] index lists every static name; dynamic families (per-reason
 //! filter counters, per-experiment repro stages) are derived through the
 //! helper functions below so their prefixes stay registered.
+//!
+//! Units: a histogram records nanoseconds unless its name ends in `_ms`;
+//! then it records milliseconds, e.g. the virtual-clock durations
+//! [`LG_CLIENT_COLLECT_MS`] and [`CHAOS_VIRTUAL_MS`]. Reports take the
+//! unit from the name ([`records_ms`]), so a span — always nanoseconds —
+//! must never be opened under an `_ms` name.
 
 // --- bgp-wire: codec hot paths ---
 
@@ -294,6 +300,11 @@ pub const DYNAMIC_PREFIXES: &[&str] = &[
     CHAOS_FAULTS_INJECTED,
     "chaos.seed",
 ];
+
+/// True when histogram `name` records milliseconds, not nanoseconds.
+pub fn records_ms(name: &str) -> bool {
+    name.ends_with("_ms")
+}
 
 /// True when `name` is registered: a static [`ALL`] entry, an extension
 /// of a [`DYNAMIC_PREFIXES`] family, or a [`par_task_site`] name whose

@@ -10,15 +10,18 @@ use community_dict::classify::{classify_extended, classify_large};
 use community_dict::dictionary::Dictionary;
 use community_dict::ixp::IxpId;
 use community_dict::schemes;
-use proptest::prelude::*;
+use prop::{assert_holds, CheckConfig, Choices};
 use route_server::prelude::*;
+
+/// Every property here runs 128 cases.
+const CASES: CheckConfig = CheckConfig::new(0x9011, 128);
 
 const IXP: IxpId = IxpId::DeCixFra;
 
 /// A pool of candidate peers (all 16-bit, non-bogon, mutually distinct).
 const PEERS: [u32; 6] = [39120, 6939, 15169, 13335, 20940, 2906];
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct ActionSpec {
     avoid: Vec<usize>, // indexes into PEERS
     only: Vec<usize>,  // indexes into PEERS
@@ -27,23 +30,17 @@ struct ActionSpec {
     prepend: Option<(usize, u8)>,
 }
 
-fn arb_spec() -> impl Strategy<Value = ActionSpec> {
-    (
-        proptest::collection::vec(0usize..PEERS.len(), 0..4),
-        proptest::collection::vec(0usize..PEERS.len(), 0..4),
-        any::<bool>(),
-        any::<bool>(),
-        proptest::option::of((0usize..PEERS.len(), 1u8..=3)),
-    )
-        .prop_map(
-            |(avoid, only, avoid_all, announce_all, prepend)| ActionSpec {
-                avoid,
-                only,
-                avoid_all,
-                announce_all,
-                prepend,
-            },
-        )
+fn gen_spec(c: &mut Choices) -> ActionSpec {
+    // 0..4 indexes into PEERS each
+    let gen_peer = |c: &mut Choices| c.draw(PEERS.len() as u64 - 1) as usize;
+    ActionSpec {
+        avoid: c.draw_list(3, 600, gen_peer),
+        only: c.draw_list(3, 600, gen_peer),
+        avoid_all: c.draw_bool(500),
+        announce_all: c.draw_bool(500),
+        // prepend 1..=3 times
+        prepend: c.draw_bool(500).then(|| (gen_peer(c), 1 + c.draw(2) as u8)),
+    }
 }
 
 fn build_route(announcer: Asn, spec: &ActionSpec) -> Route {
@@ -136,29 +133,19 @@ fn assert_exports_match_reference(rs: &mut RouteServer) {
     }
 }
 
-fn arb_scrub() -> impl Strategy<Value = ScrubPolicy> {
-    prop_oneof![
-        Just(ScrubPolicy::ActionsOnly),
-        Just(ScrubPolicy::All),
-        Just(ScrubPolicy::None),
-    ]
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// The ground rules, for every combination of actions:
-    /// 1. an explicitly avoided peer never receives the route;
-    /// 2. with an only-set and no announce-all, unlisted peers never do;
-    /// 3. with avoid-all and no announce-all, only only-listed peers do;
-    /// 4. exported routes carry no action communities (ActionsOnly scrub);
-    /// 5. prepends grow the path for the target only, never change origin.
-    #[test]
-    fn export_respects_all_action_combinations(spec in arb_spec()) {
+/// The ground rules, for every combination of actions:
+/// 1. an explicitly avoided peer never receives the route;
+/// 2. with an only-set and no announce-all, unlisted peers never do;
+/// 3. with avoid-all and no announce-all, only only-listed peers do;
+/// 4. exported routes carry no action communities (ActionsOnly scrub);
+/// 5. prepends grow the path for the target only, never change origin.
+#[test]
+fn export_respects_all_action_combinations() {
+    assert_holds(&CASES, gen_spec, |spec| {
         let announcer = Asn(64000);
         let mut rs = server_with_peers(announcer);
-        let route = build_route(announcer, &spec);
-        prop_assert_eq!(rs.announce(announcer, route), IngestOutcome::Accepted);
+        let route = build_route(announcer, spec);
+        assert_eq!(rs.announce(announcer, route), IngestOutcome::Accepted);
 
         let dict = schemes::dictionary(IXP);
         let avoided: Vec<Asn> = spec.avoid.iter().map(|&i| Asn(PEERS[i])).collect();
@@ -180,12 +167,12 @@ proptest! {
                 // blocked only by an avoid-all with no announce-all override
                 !spec.avoid_all || spec.announce_all
             };
-            prop_assert_eq!(got, expected, "peer {} spec {:?}", peer, spec);
+            assert_eq!(got, expected, "peer {} spec {:?}", peer, spec);
 
             if let Some(r) = exported.first() {
                 // scrubbed: no action communities survive
                 for c in &r.standard_communities {
-                    prop_assert!(
+                    assert!(
                         dict.classify(*c).action().is_none(),
                         "action community {} leaked to {}",
                         c,
@@ -198,87 +185,113 @@ proptest! {
                     Some((i, n)) if Asn(PEERS[i]) == peer => n as usize,
                     _ => 0,
                 };
-                prop_assert_eq!(
+                assert_eq!(
                     r.as_path.path_len(),
                     base_len + expected_prepend,
                     "peer {}",
                     peer
                 );
-                prop_assert_eq!(r.as_path.first_asn(), Some(announcer));
-                prop_assert_eq!(r.as_path.origin_asn(), Some(Asn(50_000)));
+                assert_eq!(r.as_path.first_asn(), Some(announcer));
+                assert_eq!(r.as_path.origin_asn(), Some(Asn(50_000)));
             }
         }
-    }
+        true
+    });
+}
 
-    /// The export plane against its reference, through a route's whole
-    /// life: two members announce the same prefix, one of them replaces
-    /// its route with differently tagged ones, withdraws, and leaves. At
-    /// every step each member's export is the reference's — in
-    /// particular never a form kept from a route that is gone.
-    #[test]
-    fn export_equals_reference_through_replacement_and_withdraw(
-        first in arb_spec(),
-        other in arb_spec(),
-        replacement in arb_spec(),
-        blackhole in any::<bool>(),
-        scrub in arb_scrub(),
-    ) {
-        let (a, b) = (Asn(64000), Asn(64001));
-        let mut rs = server_with_config(RsConfig::for_ixp(IXP).with_scrub(scrub), &[a, b]);
-        let mut route = build_route(a, &first);
-        if blackhole {
-            route.standard_communities.push(well_known::BLACKHOLE);
-        }
-        let prefix = route.prefix;
-        prop_assert_eq!(rs.announce(a, route), IngestOutcome::Accepted);
-        prop_assert_eq!(rs.announce(b, build_route(b, &other)), IngestOutcome::Accepted);
-        assert_exports_match_reference(&mut rs);
+/// The export plane against its reference, through a route's whole
+/// life: two members announce the same prefix, one of them replaces
+/// its route with differently tagged ones, withdraws, and leaves. At
+/// every step each member's export is the reference's — in
+/// particular never a form kept from a route that is gone.
+#[test]
+fn export_equals_reference_through_replacement_and_withdraw() {
+    let gen = |c: &mut Choices| {
+        let specs = [gen_spec(c), gen_spec(c), gen_spec(c)];
+        let scrubs = [
+            ScrubPolicy::ActionsOnly,
+            ScrubPolicy::All,
+            ScrubPolicy::None,
+        ];
+        (specs, c.draw_bool(500), scrubs[c.draw(2) as usize])
+    };
+    assert_holds(
+        &CASES,
+        gen,
+        |([first, other, replacement], blackhole, scrub)| {
+            let (a, b) = (Asn(64000), Asn(64001));
+            let mut rs = server_with_config(RsConfig::for_ixp(IXP).with_scrub(*scrub), &[a, b]);
+            let mut route = build_route(a, first);
+            if *blackhole {
+                route.standard_communities.push(well_known::BLACKHOLE);
+            }
+            let prefix = route.prefix;
+            assert_eq!(rs.announce(a, route), IngestOutcome::Accepted);
+            assert_eq!(
+                rs.announce(b, build_route(b, other)),
+                IngestOutcome::Accepted
+            );
+            assert_exports_match_reference(&mut rs);
 
-        prop_assert_eq!(rs.announce(a, build_route(a, &replacement)), IngestOutcome::Accepted);
-        assert_exports_match_reference(&mut rs);
-        // and back, through the wire path
-        let update = bgp_wire::convert::routes_to_update(&[build_route(a, &first)]);
-        prop_assert_eq!(rs.ingest_update(a, &update).unwrap(), vec![IngestOutcome::Accepted]);
-        assert_exports_match_reference(&mut rs);
+            assert_eq!(
+                rs.announce(a, build_route(a, replacement)),
+                IngestOutcome::Accepted
+            );
+            assert_exports_match_reference(&mut rs);
+            // and back, through the wire path
+            let update = bgp_wire::convert::routes_to_update(&[build_route(a, first)]);
+            assert_eq!(
+                rs.ingest_update(a, &update).unwrap(),
+                vec![IngestOutcome::Accepted]
+            );
+            assert_exports_match_reference(&mut rs);
 
-        prop_assert!(rs.withdraw(a, &prefix));
-        assert_exports_match_reference(&mut rs);
-        prop_assert!(rs.export_to(b).is_empty());
-        rs.remove_member(b);
-        for p in PEERS {
-            prop_assert!(rs.export_to(Asn(p)).is_empty());
-        }
-    }
+            assert!(rs.withdraw(a, &prefix));
+            assert_exports_match_reference(&mut rs);
+            assert!(rs.export_to(b).is_empty());
+            rs.remove_member(b);
+            for p in PEERS {
+                assert!(rs.export_to(Asn(p)).is_empty());
+            }
+            true
+        },
+    );
+}
 
-    /// Withdraw after announce always leaves the RS empty for that peer,
-    /// no matter the communities involved.
-    #[test]
-    fn announce_withdraw_is_clean(spec in arb_spec()) {
+/// Withdraw after announce always leaves the RS empty for that peer,
+/// no matter the communities involved.
+#[test]
+fn announce_withdraw_is_clean() {
+    assert_holds(&CASES, gen_spec, |spec| {
         let announcer = Asn(64000);
         let mut rs = server_with_peers(announcer);
-        let route = build_route(announcer, &spec);
+        let route = build_route(announcer, spec);
         let prefix = route.prefix;
         rs.announce(announcer, route);
-        prop_assert!(rs.withdraw(announcer, &prefix));
+        assert!(rs.withdraw(announcer, &prefix));
         for p in PEERS {
-            prop_assert!(rs.export_to(Asn(p)).is_empty());
+            assert!(rs.export_to(Asn(p)).is_empty());
         }
-        prop_assert_eq!(rs.accepted().route_count(), 0);
-    }
+        assert_eq!(rs.accepted().route_count(), 0);
+        true
+    });
+}
 
-    /// The policy digest is a pure function: digesting the same route
-    /// twice gives the same decisions.
-    #[test]
-    fn digest_is_deterministic(spec in arb_spec()) {
+/// The policy digest is a pure function: digesting the same route
+/// twice gives the same decisions.
+#[test]
+fn digest_is_deterministic() {
+    assert_holds(&CASES, gen_spec, |spec| {
         let dict = schemes::dictionary(IXP);
-        let route = build_route(Asn(64000), &spec);
+        let route = build_route(Asn(64000), spec);
         let a = RoutePolicy::digest(&dict, &route);
         let b = RoutePolicy::digest(&dict, &route);
-        prop_assert_eq!(&a, &b);
+        assert_eq!(&a, &b);
         for p in PEERS {
-            prop_assert_eq!(a.decide(Asn(p)), b.decide(Asn(p)));
+            assert_eq!(a.decide(Asn(p)), b.decide(Asn(p)));
         }
-    }
+        true
+    });
 }
 
 /// The two sides of the scrub function's `None`/`Some` edge under
@@ -292,13 +305,7 @@ fn scrub_all_edge_between_unchanged_and_rebuilt() {
     let config = RsConfig::for_ixp(IXP)
         .with_scrub(ScrubPolicy::All)
         .with_info_tags(0);
-    let spec = ActionSpec {
-        avoid: vec![],
-        only: vec![],
-        avoid_all: false,
-        announce_all: false,
-        prepend: None,
-    };
+    let spec = ActionSpec::default();
 
     let mut rs = server_with_config(config.clone(), &[announcer]);
     let plain = build_route(announcer, &spec);

@@ -3,85 +3,36 @@
 //! value — established with the production `Pattern::matches`, not the
 //! verifier's own interval math — the verifier must flag the pair.
 
-use std::collections::BTreeSet;
+mod common;
 
 use bgp_model::asn::Asn;
-use bgp_model::community::StandardCommunity;
 use community_dict::action::Action;
 use community_dict::dictionary::Dictionary;
 use community_dict::entry::DictionaryEntry;
 use community_dict::ixp::IxpId;
 use community_dict::pattern::Pattern;
 use community_dict::semantics::Semantics;
-use proptest::prelude::*;
+use prop::{assert_holds, CheckConfig, Choices};
 
 use route_server::config::RsConfig;
 use staticheck::policy;
 use staticheck::Severity;
 
-/// Arbitrary pattern over a tiny high-bit space so overlaps are common.
-fn arb_pattern() -> impl Strategy<Value = Pattern> {
-    prop_oneof![
-        (0u16..4, any::<u16>())
-            .prop_map(|(h, l)| Pattern::Exact(StandardCommunity::from_parts(h, l))),
-        (0u16..4).prop_map(|high| Pattern::PeerAsnLow { high }),
-        (0u16..4, any::<u16>(), any::<u16>()).prop_map(|(high, a, b)| Pattern::LowRange {
-            high,
-            lo: a.min(b),
-            hi: a.max(b),
-        }),
-    ]
-}
+use common::{common_match, gen_pattern};
 
-/// Patterns whose `resolve` is the identity for non-Region action
-/// semantics: everything but the `PeerAsnLow` target template.
-fn arb_plain_pattern() -> impl Strategy<Value = Pattern> {
-    prop_oneof![
-        (0u16..4, any::<u16>())
-            .prop_map(|(h, l)| Pattern::Exact(StandardCommunity::from_parts(h, l))),
-        (0u16..4, any::<u16>(), any::<u16>()).prop_map(|(high, a, b)| Pattern::LowRange {
-            high,
-            lo: a.min(b),
-            hi: a.max(b),
-        }),
-    ]
-}
+/// Every property here runs 512 cases.
+const CASES: CheckConfig = CheckConfig::new(0x5C04, 512);
 
-/// Candidate community values where two patterns could both match:
-/// interval endpoints of each, probed with the real matcher.
-fn common_match(p1: &Pattern, p2: &Pattern) -> Option<StandardCommunity> {
-    let endpoints = |p: &Pattern| -> Vec<StandardCommunity> {
-        match *p {
-            Pattern::Exact(c) => vec![c],
-            Pattern::PeerAsnLow { high } => vec![
-                StandardCommunity::from_parts(high, 0),
-                StandardCommunity::from_parts(high, u16::MAX),
-            ],
-            Pattern::LowRange { high, lo, hi } => vec![
-                StandardCommunity::from_parts(high, lo),
-                StandardCommunity::from_parts(high, hi),
-            ],
-        }
-    };
-    let mut candidates: BTreeSet<StandardCommunity> = BTreeSet::new();
-    candidates.extend(endpoints(p1));
-    candidates.extend(endpoints(p2));
-    candidates
-        .into_iter()
-        .find(|&c| p1.matches(c) && p2.matches(c))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    /// Two entries with distinct action groups that share any matching
-    /// community value must produce an SC004 finding.
-    #[test]
-    fn overlapping_distinct_actions_are_flagged(p1 in arb_pattern(), p2 in arb_pattern()) {
+/// Two entries with distinct action groups that share any matching
+/// community value must produce an SC004 finding.
+#[test]
+fn overlapping_distinct_actions_are_flagged() {
+    let gen = |c: &mut Choices| (gen_pattern(c, true), gen_pattern(c, true));
+    assert_holds(&CASES, gen, |&(p1, p2)| {
         // identical patterns are merged by Dictionary::new (sources union,
         // first semantics wins) before the verifier ever sees them
         if p1 == p2 {
-            continue;
+            return true;
         }
         // avoid/blackhole resolve differently at every witness value, so
         // any common match is genuine ambiguity
@@ -92,43 +43,61 @@ proptest! {
         let diags = policy::verify(&config, &dict, None);
         let flagged = diags.iter().filter(|d| d.code == "SC004").count();
         match common_match(&p1, &p2) {
-            Some(c) => prop_assert!(
+            Some(c) => assert!(
                 flagged > 0,
                 "patterns {:?} / {:?} share {} but were not flagged",
-                p1, p2, c
+                p1,
+                p2,
+                c
             ),
-            None => prop_assert!(
+            None => assert!(
                 flagged == 0,
                 "patterns {:?} / {:?} are disjoint but were flagged: {:?}",
-                p1, p2, diags
+                p1,
+                p2,
+                diags
             ),
         }
-    }
+        true
+    });
+}
 
-    /// Identical semantics never count as ambiguity, whatever the
-    /// overlap — for patterns that don't rewrite their semantics per
-    /// matched value. (A `PeerAsnLow` template rewrites the action
-    /// target to the matched low bits, so even identical *stored*
-    /// semantics resolve differently under it; blackhole's TaggedPrefix
-    /// target is untouched by Exact and LowRange.)
-    #[test]
-    fn agreeing_semantics_are_never_flagged(p1 in arb_plain_pattern(), p2 in arb_plain_pattern()) {
+/// Identical semantics never count as ambiguity, whatever the
+/// overlap — for patterns that don't rewrite their semantics per
+/// matched value. (A `PeerAsnLow` template rewrites the action
+/// target to the matched low bits, so even identical *stored*
+/// semantics resolve differently under it; blackhole's TaggedPrefix
+/// target is untouched by Exact and LowRange.)
+#[test]
+fn agreeing_semantics_are_never_flagged() {
+    // patterns whose `resolve` is the identity for non-Region action
+    // semantics: everything but the `PeerAsnLow` target template
+    let gen = |c: &mut Choices| (gen_pattern(c, false), gen_pattern(c, false));
+    assert_holds(&CASES, gen, |&(p1, p2)| {
         let sem = Semantics::Action(Action::blackhole());
         let e1 = DictionaryEntry::new(p1, sem, "bh a");
         let e2 = DictionaryEntry::new(p2, sem, "bh b");
         let dict = Dictionary::new(IxpId::DeCixFra, vec![e1, e2]);
         let config = RsConfig::for_ixp(IxpId::DeCixFra);
         let diags = policy::verify(&config, &dict, None);
-        prop_assert!(
-            diags.iter().all(|d| d.code != "SC004"),
-            "{diags:?}"
-        );
-    }
+        assert!(diags.iter().all(|d| d.code != "SC004"), "{diags:?}");
+        true
+    });
+}
 
-    /// Severity calibration: strict containment warns (precedence picks a
-    /// winner), while partial or equal overlap errors.
-    #[test]
-    fn containment_warns_partial_overlap_errors(high in 0u16..4, a in any::<u16>(), b in any::<u16>()) {
+/// Severity calibration: strict containment warns (precedence picks a
+/// winner), while partial or equal overlap errors.
+#[test]
+fn containment_warns_partial_overlap_errors() {
+    // high in 0..4, any two low halves
+    let gen = |c: &mut Choices| {
+        (
+            c.draw(3) as u16,
+            c.draw(0xFFFF) as u16,
+            c.draw(0xFFFF) as u16,
+        )
+    };
+    assert_holds(&CASES, gen, |&(high, a, b)| {
         let (lo, hi) = (a.min(b), a.max(b));
         let outer = Pattern::PeerAsnLow { high };
         let inner = Pattern::LowRange { high, lo, hi };
@@ -137,7 +106,7 @@ proptest! {
         let dict = Dictionary::new(IxpId::DeCixFra, vec![e1, e2]);
         let diags = policy::verify(&RsConfig::for_ixp(IxpId::DeCixFra), &dict, None);
         let sc004: Vec<_> = diags.iter().filter(|d| d.code == "SC004").collect();
-        prop_assert_eq!(sc004.len(), 1);
+        assert_eq!(sc004.len(), 1);
         // full-range LowRange equals the template's match set: error;
         // anything narrower is strict containment: warning
         let expected = if (lo, hi) == (0, u16::MAX) {
@@ -145,6 +114,7 @@ proptest! {
         } else {
             Severity::Warning
         };
-        prop_assert_eq!(sc004[0].severity, expected);
-    }
+        assert_eq!(sc004[0].severity, expected);
+        true
+    });
 }

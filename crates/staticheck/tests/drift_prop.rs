@@ -4,7 +4,7 @@
 //! flag a pair the real resolver considers equivalent, nor stay silent
 //! on a pair it considers conflicting.
 
-use std::collections::BTreeSet;
+mod common;
 
 use bgp_model::asn::Asn;
 use bgp_model::community::StandardCommunity;
@@ -14,48 +14,15 @@ use community_dict::entry::DictionaryEntry;
 use community_dict::ixp::IxpId;
 use community_dict::pattern::Pattern;
 use community_dict::semantics::Semantics;
-use proptest::prelude::*;
+use prop::{assert_holds, CheckConfig, Choices};
 
 use staticheck::policy;
 use staticheck::Severity;
 
-/// Arbitrary pattern over a tiny high-bit space so overlaps are common.
-fn arb_pattern() -> impl Strategy<Value = Pattern> {
-    prop_oneof![
-        (0u16..4, any::<u16>())
-            .prop_map(|(h, l)| Pattern::Exact(StandardCommunity::from_parts(h, l))),
-        (0u16..4).prop_map(|high| Pattern::PeerAsnLow { high }),
-        (0u16..4, any::<u16>(), any::<u16>()).prop_map(|(high, a, b)| Pattern::LowRange {
-            high,
-            lo: a.min(b),
-            hi: a.max(b),
-        }),
-    ]
-}
+use common::{common_match, gen_pattern};
 
-/// A community value both patterns match, probed with the production
-/// matcher over the patterns' interval endpoints.
-fn common_match(p1: &Pattern, p2: &Pattern) -> Option<StandardCommunity> {
-    let endpoints = |p: &Pattern| -> Vec<StandardCommunity> {
-        match *p {
-            Pattern::Exact(c) => vec![c],
-            Pattern::PeerAsnLow { high } => vec![
-                StandardCommunity::from_parts(high, 0),
-                StandardCommunity::from_parts(high, u16::MAX),
-            ],
-            Pattern::LowRange { high, lo, hi } => vec![
-                StandardCommunity::from_parts(high, lo),
-                StandardCommunity::from_parts(high, hi),
-            ],
-        }
-    };
-    let mut candidates: BTreeSet<StandardCommunity> = BTreeSet::new();
-    candidates.extend(endpoints(p1));
-    candidates.extend(endpoints(p2));
-    candidates
-        .into_iter()
-        .find(|&c| p1.matches(c) && p2.matches(c))
-}
+/// Every property here runs 512 cases.
+const CASES: CheckConfig = CheckConfig::new(0x5C06, 512);
 
 /// Two single-entry dictionaries at different IXPs.
 fn dicts(e1: DictionaryEntry, e2: DictionaryEntry) -> [Dictionary; 2] {
@@ -76,68 +43,96 @@ fn witness_of(message: &str) -> Option<StandardCommunity> {
     ))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
+fn gen_pair(c: &mut Choices) -> (Pattern, Pattern) {
+    (gen_pattern(c, true), gen_pattern(c, true))
+}
 
-    /// Avoid vs blackhole resolve to different action kinds at *every*
-    /// value, so SC006 must fire exactly when a common match exists —
-    /// error-grade — and the reported witness must disagree under the
-    /// production resolver.
-    #[test]
-    fn cross_group_conflicts_agree_with_resolve(p1 in arb_pattern(), p2 in arb_pattern()) {
+/// Avoid vs blackhole resolve to different action kinds at *every*
+/// value, so SC006 must fire exactly when a common match exists —
+/// error-grade — and the reported witness must disagree under the
+/// production resolver.
+#[test]
+fn cross_group_conflicts_agree_with_resolve() {
+    assert_holds(&CASES, gen_pair, |&(p1, p2)| {
         let e1 = DictionaryEntry::new(p1, Semantics::Action(Action::avoid(Asn(64500))), "avoid");
         let e2 = DictionaryEntry::new(p2, Semantics::Action(Action::blackhole()), "blackhole");
         let diags = policy::verify_cross_dictionaries(&dicts(e1.clone(), e2.clone()));
         match common_match(&p1, &p2) {
             Some(c) => {
-                prop_assert_eq!(
-                    diags.len(), 1,
-                    "patterns {:?} / {:?} share {} but were not flagged", p1, p2, c
+                assert_eq!(
+                    diags.len(),
+                    1,
+                    "patterns {:?} / {:?} share {} but were not flagged",
+                    p1,
+                    p2,
+                    c
                 );
-                prop_assert_eq!(diags[0].severity, Severity::Error);
+                assert_eq!(diags[0].severity, Severity::Error);
                 let w = witness_of(&diags[0].message).expect("witness in message");
-                prop_assert!(p1.matches(w) && p2.matches(w), "witness {} matches neither", w);
+                assert!(
+                    p1.matches(w) && p2.matches(w),
+                    "witness {} matches neither",
+                    w
+                );
                 let a1 = e1.pattern.resolve(e1.semantics, w).action();
                 let a2 = e2.pattern.resolve(e2.semantics, w).action();
-                prop_assert!(
+                assert!(
                     a1.is_some() && a2.is_some() && a1 != a2,
-                    "witness {} does not disagree under resolve: {:?} vs {:?}", w, a1, a2
+                    "witness {} does not disagree under resolve: {:?} vs {:?}",
+                    w,
+                    a1,
+                    a2
                 );
             }
-            None => prop_assert!(diags.is_empty(), "disjoint but flagged: {diags:?}"),
+            None => assert!(diags.is_empty(), "disjoint but flagged: {diags:?}"),
         }
-    }
+        true
+    });
+}
 
-    /// The same stored avoid action on both sides can differ only in
-    /// resolved *scope* (a `PeerAsnLow` template rewrites the target per
-    /// value): findings stay warning-grade, and every reported witness
-    /// resolves to two same-group actions that genuinely differ.
-    #[test]
-    fn same_group_drift_is_warning_grade(p1 in arb_pattern(), p2 in arb_pattern()) {
+/// The same stored avoid action on both sides can differ only in
+/// resolved *scope* (a `PeerAsnLow` template rewrites the target per
+/// value): findings stay warning-grade, and every reported witness
+/// resolves to two same-group actions that genuinely differ.
+#[test]
+fn same_group_drift_is_warning_grade() {
+    assert_holds(&CASES, gen_pair, |&(p1, p2)| {
         let sem = Semantics::Action(Action::avoid(Asn(64500)));
         let e1 = DictionaryEntry::new(p1, sem, "avoid a");
         let e2 = DictionaryEntry::new(p2, sem, "avoid b");
         let diags = policy::verify_cross_dictionaries(&dicts(e1.clone(), e2.clone()));
         for d in &diags {
-            prop_assert_eq!(d.severity, Severity::Warning, "{:?}", d);
+            assert_eq!(d.severity, Severity::Warning, "{:?}", d);
             let w = witness_of(&d.message).expect("witness in message");
-            let a1 = e1.pattern.resolve(e1.semantics, w).action().expect("action");
-            let a2 = e2.pattern.resolve(e2.semantics, w).action().expect("action");
-            prop_assert!(a1 != a2, "witness {} resolves equal under resolve", w);
-            prop_assert_eq!(a1.kind.group(), a2.kind.group());
+            let a1 = e1
+                .pattern
+                .resolve(e1.semantics, w)
+                .action()
+                .expect("action");
+            let a2 = e2
+                .pattern
+                .resolve(e2.semantics, w)
+                .action()
+                .expect("action");
+            assert!(a1 != a2, "witness {} resolves equal under resolve", w);
+            assert_eq!(a1.kind.group(), a2.kind.group());
         }
-    }
+        true
+    });
+}
 
-    /// One dictionary is never in drift with itself: same-IXP pairs are
-    /// skipped entirely, whatever the entries.
-    #[test]
-    fn same_ixp_pairs_are_skipped(p1 in arb_pattern(), p2 in arb_pattern()) {
+/// One dictionary is never in drift with itself: same-IXP pairs are
+/// skipped entirely, whatever the entries.
+#[test]
+fn same_ixp_pairs_are_skipped() {
+    assert_holds(&CASES, gen_pair, |&(p1, p2)| {
         let e1 = DictionaryEntry::new(p1, Semantics::Action(Action::avoid(Asn(64500))), "avoid");
         let e2 = DictionaryEntry::new(p2, Semantics::Action(Action::blackhole()), "blackhole");
         let ds = [
             Dictionary::new(IxpId::AmsIx, vec![e1]),
             Dictionary::new(IxpId::AmsIx, vec![e2]),
         ];
-        prop_assert!(policy::verify_cross_dictionaries(&ds).is_empty());
-    }
+        assert!(policy::verify_cross_dictionaries(&ds).is_empty());
+        true
+    });
 }

@@ -45,10 +45,13 @@ if [[ "$fast" -eq 0 ]]; then
     CHAOS_SEEDS="${CHAOS_SEEDS:-32}" PAR_THREADS=4 cargo test -q -p chaos --release
     # The export plane's own oracle (tests/policy_proptests.rs: every
     # member's export against a reference worked out without the kept
-    # export forms, through re-announce, withdraw and session down), on
-    # the optimized build — the one the benchmark measures.
-    echo "==> route-server (export property tests, release)"
-    cargo test -q --release -p route-server
+    # export forms, through re-announce, withdraw and session down), and
+    # the wire codec's round trips and hostile-bytes decoders
+    # (bgp-wire tests/wire_proptests.rs), on the optimized build — the
+    # one the benchmark measures. The wire suite lives in bgp-wire, so
+    # the chaos stage above no longer runs it in release.
+    echo "==> route-server + bgp-wire (export and wire property tests, release)"
+    cargo test -q --release -p route-server -p bgp-wire
 fi
 
 # Streamed/snapshot and incremental/batch equivalence oracles, on the

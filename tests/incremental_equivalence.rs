@@ -7,8 +7,10 @@
 //! end-of-day snapshot (O(world)); the two must serialize byte-identical
 //! — every float, sort and tie-break — at `PAR_THREADS=1` and `4`. On
 //! divergence both serialized reports land under
-//! `target/incremental-divergence/` so the failure is diffable rather
-//! than just red.
+//! `target/incremental-divergence/` and the message shows their first
+//! differing bytes, so the failure is diffable rather than just red.
+
+mod common;
 
 use chaos::prelude::*;
 
@@ -25,21 +27,6 @@ fn campaign() -> (Vec<Violation>, StreamCampaignOutcome) {
     let outcome = run_stream_campaign(SEED, &plan, &cfg);
     let violations = check_stream_campaign(&outcome, &plan, &cfg);
     (violations, outcome)
-}
-
-/// Write both serialized reports of a diverging day and return the
-/// directory, matching the stream-divergence dump conventions.
-fn dump_divergence(threads: usize, day: u32, inc: &str, batch: &str) -> std::path::PathBuf {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("target")
-        .join("incremental-divergence");
-    let _ = std::fs::create_dir_all(&dir);
-    let _ = std::fs::write(
-        dir.join(format!("day{day}.incremental.threads{threads}")),
-        inc,
-    );
-    let _ = std::fs::write(dir.join(format!("day{day}.batch.threads{threads}")), batch);
-    dir
 }
 
 #[test]
@@ -63,13 +50,15 @@ fn incremental_report_matches_batch_over_84_chaotic_days() {
                     .report_divergence
                     .clone()
                     .unwrap_or_else(|| ("<missing>".into(), "<missing>".into()));
-                let dir = dump_divergence(threads, rec.day, &inc, &batch);
+                let day = rec.day;
                 panic!(
-                    "day {}: incremental report diverged from the batch recompute \
-                     at PAR_THREADS={threads}; replay (seed={SEED}); \
-                     variants written to {}",
-                    rec.day,
-                    dir.display()
+                    "day {day}: incremental report diverged from the batch recompute \
+                     at PAR_THREADS={threads}; replay (seed={SEED}); {}",
+                    common::dump_divergence(
+                        "incremental-divergence",
+                        (&format!("day{day}.incremental.threads{threads}"), &inc),
+                        (&format!("day{day}.batch.threads{threads}"), &batch),
+                    )
                 );
             }
         }

@@ -7,8 +7,10 @@
 //! collect→analyze pass — once on one thread and once on four, and
 //! compares the chaos FNV-1a dataset fingerprints plus the fully
 //! serialized table/figure JSON. On divergence it writes both variants
-//! under `target/par-divergence/` and names the artifact, so a failure
-//! is diffable rather than just red.
+//! under `target/par-divergence/`, names the artifact and shows its
+//! first differing bytes, so a failure is diffable rather than just red.
+
+mod common;
 
 use bgp_model::prefix::Afi;
 use chaos::prelude::*;
@@ -63,18 +65,6 @@ fn artifacts() -> (Vec<u64>, String, String) {
     (corpus, dataset, tables)
 }
 
-/// Write both variants of a diverging artifact and return the directory,
-/// so the failure message points at something diffable.
-fn dump_divergence(name: &str, serial: &str, parallel: &str) -> std::path::PathBuf {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("target")
-        .join("par-divergence");
-    let _ = std::fs::create_dir_all(&dir);
-    let _ = std::fs::write(dir.join(format!("{name}.threads1")), serial);
-    let _ = std::fs::write(dir.join(format!("{name}.threads4")), parallel);
-    dir
-}
-
 #[test]
 fn artifacts_identical_across_thread_counts() {
     // One test (not one per artifact): the override is process-global and
@@ -89,20 +79,19 @@ fn artifacts_identical_across_thread_counts() {
         corpus_1, corpus_4,
         "chaos corpus FNV-1a fingerprints diverged between PAR_THREADS=1 and 4"
     );
-    if dataset_1 != dataset_4 {
-        let dir = dump_divergence("dataset", &dataset_1, &dataset_4);
-        panic!(
-            "collected dataset diverged between PAR_THREADS=1 and 4; \
-             variants written to {}",
-            dir.display()
-        );
-    }
-    if tables_1 != tables_4 {
-        let dir = dump_divergence("tables", &tables_1, &tables_4);
-        panic!(
-            "table/figure JSON diverged between PAR_THREADS=1 and 4; \
-             variants written to {}",
-            dir.display()
-        );
+    for (name, serial, parallel) in [
+        ("dataset", &dataset_1, &dataset_4),
+        ("tables", &tables_1, &tables_4),
+    ] {
+        if serial != parallel {
+            panic!(
+                "{name} diverged between PAR_THREADS=1 and 4; {}",
+                common::dump_divergence(
+                    "par-divergence",
+                    (&format!("{name}.threads1"), serial),
+                    (&format!("{name}.threads4"), parallel),
+                )
+            );
+        }
     }
 }

@@ -8,8 +8,11 @@
 //! streamed end-of-day state must fingerprint byte-identical to the
 //! fault-free polled reference, at `PAR_THREADS=1` and `4`, and the
 //! combined dataset hash must be thread-count invariant. On divergence
-//! both serialized variants land under `target/stream-divergence/` so
-//! the failure is diffable rather than just red.
+//! both serialized variants land under `target/stream-divergence/` and
+//! the message shows their first differing bytes, so the failure is
+//! diffable rather than just red.
+
+mod common;
 
 use chaos::prelude::*;
 use looking_glass::snapshot::SnapshotStore;
@@ -38,24 +41,6 @@ fn store_json(store: &SnapshotStore) -> String {
     out
 }
 
-/// Write both serialized variants of a diverging day and return the
-/// directory, matching the par/trace oracle conventions.
-fn dump_divergence(threads: usize, outcome: &StreamCampaignOutcome) -> std::path::PathBuf {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("target")
-        .join("stream-divergence");
-    let _ = std::fs::create_dir_all(&dir);
-    let _ = std::fs::write(
-        dir.join(format!("streamed.threads{threads}")),
-        store_json(&outcome.streamed),
-    );
-    let _ = std::fs::write(
-        dir.join(format!("reference.threads{threads}")),
-        store_json(&outcome.reference),
-    );
-    dir
-}
-
 #[test]
 fn streamed_dataset_matches_snapshots_over_84_chaotic_days() {
     // One test: the thread override is process-global and the two
@@ -73,13 +58,21 @@ fn streamed_dataset_matches_snapshots_over_84_chaotic_days() {
         assert_eq!(outcome.days.len(), 84);
         for rec in &outcome.days {
             if rec.streamed_hash != rec.reference_hash {
-                let dir = dump_divergence(threads, outcome);
                 panic!(
                     "day {}: streamed state diverged from the polled reference \
-                     at PAR_THREADS={threads}; replay (seed={SEED}); \
-                     variants written to {}",
+                     at PAR_THREADS={threads}; replay (seed={SEED}); {}",
                     rec.day,
-                    dir.display()
+                    common::dump_divergence(
+                        "stream-divergence",
+                        (
+                            &format!("streamed.threads{threads}"),
+                            &store_json(&outcome.streamed)
+                        ),
+                        (
+                            &format!("reference.threads{threads}"),
+                            &store_json(&outcome.reference)
+                        ),
+                    )
                 );
             }
         }
@@ -96,12 +89,16 @@ fn streamed_dataset_matches_snapshots_over_84_chaotic_days() {
 
     // and the whole dual dataset is bit-identical across pool sizes
     if outcome_1.dataset_hash != outcome_4.dataset_hash {
-        dump_divergence(1, &outcome_1);
-        let dir = dump_divergence(4, &outcome_4);
+        // the hash covers both datasets: streamed, then reference
+        let dataset =
+            |o: &StreamCampaignOutcome| store_json(&o.streamed) + &store_json(&o.reference);
         panic!(
-            "dual-campaign dataset hash diverged between PAR_THREADS=1 and 4; \
-             variants written to {}",
-            dir.display()
+            "dual-campaign dataset hash diverged between PAR_THREADS=1 and 4; {}",
+            common::dump_divergence(
+                "stream-divergence",
+                ("dataset.threads1", &dataset(&outcome_1)),
+                ("dataset.threads4", &dataset(&outcome_4)),
+            )
         );
     }
 }

@@ -7,8 +7,11 @@
 //! two-IXP collect→analyze pass as `tests/par_equivalence.rs` once on
 //! one thread and once on four, digests each trace with
 //! `obs::trace::tree_digest`, and compares the digests bytewise. On
-//! divergence both variants land in `target/trace-divergence/` so the
-//! failure is diffable rather than just red.
+//! divergence both variants land in `target/trace-divergence/` and the
+//! message shows their first differing bytes, so the failure is
+//! diffable rather than just red.
+
+mod common;
 
 use bgp_model::prefix::Afi;
 use community_dict::ixp::IxpId;
@@ -46,17 +49,6 @@ fn trace_digest() -> String {
     obs::trace::tree_digest(&registry.take_trace_spans())
 }
 
-/// Write both variants of a diverging digest and return the directory.
-fn dump_divergence(serial: &str, parallel: &str) -> std::path::PathBuf {
-    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("target")
-        .join("trace-divergence");
-    let _ = std::fs::create_dir_all(&dir);
-    let _ = std::fs::write(dir.join("digest.threads1"), serial);
-    let _ = std::fs::write(dir.join("digest.threads4"), parallel);
-    dir
-}
-
 #[test]
 fn trace_tree_identical_across_thread_counts() {
     let registry = obs::global();
@@ -86,11 +78,13 @@ fn trace_tree_identical_across_thread_counts() {
     }
 
     if digest_1 != digest_4 {
-        let dir = dump_divergence(&digest_1, &digest_4);
         panic!(
-            "trace tree diverged between PAR_THREADS=1 and 4; \
-             digests written to {}",
-            dir.display()
+            "trace tree diverged between PAR_THREADS=1 and 4; {}",
+            common::dump_divergence(
+                "trace-divergence",
+                ("digest.threads1", &digest_1),
+                ("digest.threads4", &digest_4),
+            )
         );
     }
 }
