@@ -11,15 +11,15 @@
 //! `--json FILE`, the complete evaluation ([`analysis::summary`]) is
 //! written as one JSON document.
 //!
-//! Experiments: `check table1 fig1 fig2 fig3 fig4a fig4b fig4c table2
-//! type-counts fig5 fig6 ineffective fig7 table3 table4 sanitation
-//! overlap` or `all` (default). `check` is a pre-flight: it runs the
+//! The experiments are the [`EXPERIMENTS`] table (`--help` lists them);
+//! `all` is the default. `check` is a pre-flight: it runs the
 //! `staticheck` policy verifier over every configured IXP scheme before
 //! the world is built, and error-grade findings abort the whole run —
 //! there is no point simulating a configuration the verifier can
 //! already prove broken.
 
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 
 use bgp_model::prefix::Afi;
 use community_dict::action::ActionGroup;
@@ -29,7 +29,8 @@ use community_dict::known;
 
 use analysis::prelude::*;
 use bench::{paper, standard_scenario, AFIS};
-use ixp_sim::timeline::{generate_all, TimelineConfig};
+use ixp_sim::timeline::{generate_all, Series, TimelineConfig};
+use looking_glass::sanitize::SeriesPoint;
 use looking_glass::snapshot::SnapshotStore;
 
 struct Ctx {
@@ -40,7 +41,7 @@ struct Ctx {
     views: BTreeMap<(IxpId, Afi), View>,
     ixps: Vec<IxpId>,
     seed: u64,
-    csv_dir: Option<std::path::PathBuf>,
+    csv_dir: Option<PathBuf>,
 }
 
 impl Ctx {
@@ -49,7 +50,7 @@ impl Ctx {
         dicts: Vec<(IxpId, Dictionary)>,
         ixps: Vec<IxpId>,
         seed: u64,
-        csv_dir: Option<std::path::PathBuf>,
+        csv_dir: Option<PathBuf>,
     ) -> Self {
         let views = dicts
             .iter()
@@ -71,6 +72,13 @@ impl Ctx {
 
     fn view(&self, ixp: IxpId, afi: Afi) -> Option<&View> {
         self.views.get(&(ixp, afi))
+    }
+
+    /// The IPv4 view of each IXP that has one, in `ixps` order.
+    fn v4_views(&self) -> impl Iterator<Item = (IxpId, &View)> {
+        self.ixps
+            .iter()
+            .filter_map(|ixp| Some((*ixp, self.view(*ixp, Afi::Ipv4)?)))
     }
 
     /// Write one figure's data series as CSV under --csv DIR.
@@ -96,81 +104,148 @@ impl Ctx {
             out.push_str(&escaped.join(","));
             out.push('\n');
         }
-        let path = dir.join(format!("{name}.csv"));
-        if let Err(e) = std::fs::write(&path, out) {
-            eprintln!("csv: cannot write {}: {e}", path.display());
-        } else {
-            eprintln!("csv: wrote {}", path.display());
-        }
+        write_artifact("csv", &dir.join(format!("{name}.csv")), out);
     }
 }
 
+/// Write one output file, reporting the outcome on stderr under `tag`.
+fn write_artifact(tag: &str, path: &Path, bytes: impl AsRef<[u8]>) {
+    match std::fs::write(path, bytes) {
+        Ok(()) => eprintln!("{tag}: wrote {}", path.display()),
+        Err(e) => eprintln!("{tag}: cannot write {}: {e}", path.display()),
+    }
+}
+
+/// How an experiment runs.
+#[derive(Clone, Copy)]
+enum Runner {
+    /// A pre-flight over the configured IXPs: it runs before anything is
+    /// built, and refuses to let the run spend time on a provably broken
+    /// policy (it exits instead of returning).
+    Preflight(fn(&[IxpId])),
+    /// Prints its tables (and CSVs) from the run context.
+    Report(fn(&Ctx)),
+}
+
+use Runner::{Preflight, Report};
+
+/// One experiment `repro` can run.
+struct Experiment {
+    name: &'static str,
+    /// Part of `all`, the default selection.
+    in_all: bool,
+    /// Reads the built world (`Ctx::store` / `Ctx::views`).
+    needs_world: bool,
+    run: Runner,
+    /// One line for `--help`.
+    about: &'static str,
+}
+
+/// An [`Experiment`] from positional fields, so the table below keeps
+/// one row per experiment.
+const fn exp(
+    name: &'static str,
+    in_all: bool,
+    needs_world: bool,
+    run: Runner,
+    about: &'static str,
+) -> Experiment {
+    Experiment {
+        name,
+        in_all,
+        needs_world,
+        run,
+        about,
+    }
+}
+
+/// Every experiment, in the order `all` runs them. This table is the
+/// only place an experiment is named: it drives `--help`, `all`, the
+/// decision to build the world, and the dispatch.
+#[rustfmt::skip]
+const EXPERIMENTS: &[Experiment] = &[
+    exp("check",       true,  false, Preflight(preflight_check), "static policy + workspace pre-flight; findings abort the run"),
+    exp("table1",      true,  true,  Report(run_table1),         "the IXPs in numbers"),
+    exp("fig1",        true,  true,  Report(run_fig1),           "IXP-defined vs unknown communities"),
+    exp("fig2",        true,  true,  Report(run_fig2),           "community types among IXP-defined"),
+    exp("fig3",        true,  true,  Report(run_fig3),           "action vs informational"),
+    exp("fig4a",       true,  true,  Report(run_fig4a),          "ASes and routes using action communities"),
+    exp("fig4b",       true,  true,  Report(run_fig4b),          "skew of action-community usage across ASes"),
+    exp("fig4c",       true,  true,  Report(run_fig4c),          "route share vs action share"),
+    exp("table2",      true,  true,  Report(run_table2),         "ASes using each action type"),
+    exp("type-counts", true,  true,  Report(run_type_counts),    "action instances per type"),
+    exp("fig5",        true,  true,  Report(run_fig5),           "top-20 action communities"),
+    exp("fig6",        true,  true,  Report(run_fig6),           "top-20 actions targeting non-RS members"),
+    exp("ineffective", true,  true,  Report(run_ineffective),    "actions targeting ASes not at the RS"),
+    exp("fig7",        true,  true,  Report(run_fig7),           "top-10 ASes tagging non-RS-member targets"),
+    exp("table3",      true,  false, Report(run_table3),         "variation across seven daily snapshots"),
+    exp("table4",      true,  false, Report(run_table4),         "variation across twelve weekly snapshots"),
+    exp("sanitation",  true,  false, Report(run_sanitation),     "snapshot sanitation (valley detection)"),
+    exp("overlap",     true,  true,  Report(run_overlap),        "cross-IXP overlap of top-20 avoid targets"),
+    exp("chaos",       false, false, Report(run_chaos),          "fault-injection corpus (CHAOS_SEEDS=N seeds)"),
+    exp("stream",      false, false, Report(run_stream),         "feed-vs-poll campaign and verdicts (STREAM_DAYS=N days)"),
+];
+
+fn usage() -> String {
+    let mut out = String::from(
+        "repro [--scale F] [--seed N] [--all-ixps] [--csv DIR] [--json FILE] \
+         [--trace FILE] [EXPERIMENT...]\n\
+         --trace FILE: record the causal span trace and write it as Chrome \
+         trace_event JSON (open in Perfetto), plus a self-time table\n\
+         experiments (default: all):\n",
+    );
+    for e in EXPERIMENTS {
+        let tag = if e.in_all { "" } else { "(not in `all`) " };
+        out.push_str(&format!("  {:<12} {tag}{}\n", e.name, e.about));
+    }
+    out.push_str("  all          every experiment not marked otherwise, in this order");
+    out
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = 0.1f64;
     let mut seed = 0x1C0FFEEu64;
     let mut ixps: Vec<IxpId> = IxpId::BIG_FOUR.to_vec();
-    let mut csv_dir: Option<std::path::PathBuf> = None;
-    let mut json_out: Option<std::path::PathBuf> = None;
-    let mut trace_out: Option<std::path::PathBuf> = None;
-    let mut experiments: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
+    let mut csv_dir: Option<PathBuf> = None;
+    let mut json_out: Option<PathBuf> = None;
+    let mut trace_out: Option<PathBuf> = None;
+    let mut names: Vec<String> = Vec::new();
+    let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--scale" => scale = it.next().expect("--scale N").parse().expect("scale"),
-            "--seed" => seed = it.next().expect("--seed N").parse().expect("seed"),
+            "--scale" => scale = flag_value(&arg, it.next(), "a scale factor (f64)"),
+            "--seed" => seed = flag_value(&arg, it.next(), "a seed (u64)"),
             "--all-ixps" => ixps = IxpId::ALL.to_vec(),
-            "--csv" => csv_dir = Some(std::path::PathBuf::from(it.next().expect("--csv DIR"))),
-            "--json" => json_out = Some(std::path::PathBuf::from(it.next().expect("--json FILE"))),
-            "--trace" => {
-                trace_out = Some(std::path::PathBuf::from(it.next().expect("--trace FILE")))
-            }
+            "--csv" => csv_dir = Some(flag_value(&arg, it.next(), "a directory")),
+            "--json" => json_out = Some(flag_value(&arg, it.next(), "a file path")),
+            "--trace" => trace_out = Some(flag_value(&arg, it.next(), "a file path")),
             "--help" | "-h" => {
-                println!(
-                    "repro [--scale F] [--seed N] [--all-ixps] [--csv DIR] [--json FILE] \
-                     [--trace FILE] [EXPERIMENT...]\n\
-                     experiments: check table1 fig1 fig2 fig3 fig4a fig4b fig4c table2 \
-                     type-counts fig5 fig6 ineffective fig7 table3 table4 sanitation overlap all\n\
-                     extra (not in `all`): chaos — run the deterministic fault-injection \
-                     corpus (CHAOS_SEEDS=N overrides the seed count)\n\
-                     extra (not in `all`): stream — run the BMP-style dual campaign \
-                     (streamed feed vs snapshot polls; STREAM_DAYS=N overrides the \
-                     day count) and print the stream metrics, the per-day incremental \
-                     finalize vs batch recompute verdicts and timings, and the \
-                     equivalence verdict\n\
-                     --trace FILE: record the causal span trace and write it as Chrome \
-                     trace_event JSON (open in Perfetto), plus a self-time table"
-                );
+                println!("{}", usage());
                 return;
             }
-            other => experiments.push(other.to_string()),
+            _ => names.push(arg),
         }
     }
-    if experiments.is_empty() || experiments.iter().any(|e| e == "all") {
-        experiments = [
-            "check",
-            "table1",
-            "fig1",
-            "fig2",
-            "fig3",
-            "fig4a",
-            "fig4b",
-            "fig4c",
-            "table2",
-            "type-counts",
-            "fig5",
-            "fig6",
-            "ineffective",
-            "fig7",
-            "table3",
-            "table4",
-            "sanitation",
-            "overlap",
-        ]
+    // every name is checked before anything is built
+    let unknown: Vec<&String> = names
         .iter()
-        .map(|s| s.to_string())
+        .filter(|n| *n != "all" && !EXPERIMENTS.iter().any(|e| e.name == n.as_str()))
         .collect();
+    if !unknown.is_empty() {
+        for n in unknown {
+            eprintln!("unknown experiment: {n}");
+        }
+        eprintln!("{}", usage());
+        std::process::exit(2);
     }
+    let experiments: Vec<&Experiment> = if names.is_empty() || names.iter().any(|n| n == "all") {
+        EXPERIMENTS.iter().filter(|e| e.in_all).collect()
+    } else {
+        names
+            .iter()
+            .filter_map(|n| EXPERIMENTS.iter().find(|e| e.name == n.as_str()))
+            .collect()
+    };
 
     let registry = obs::global();
     registry.enable_events(4096);
@@ -180,103 +255,41 @@ fn main() {
     }
     let baseline = registry.snapshot();
 
-    // `check` is a pre-flight, not a table: run it before anything is
-    // built, and refuse to spend time on a provably broken policy.
-    if let Some(pos) = experiments.iter().position(|e| e == "check") {
-        experiments.remove(pos);
-        let clean = {
-            let _stage = registry.histogram(obs::names::REPRO_CHECK).start();
-            run_check(&ixps)
-        };
-        match clean {
-            Err(msg) => {
-                // staticheck's exit 2: the analysis itself did not run
-                eprintln!(
-                    "check: static verification did not complete ({msg}) — an \
-                     internal error, not a policy finding; fix staticheck.toml \
-                     syntax and rerun"
-                );
-                std::process::exit(2);
-            }
-            Ok(false) => {
-                // staticheck's exit 1: real error-grade findings remain
-                eprintln!(
-                    "check: error-grade policy findings — fix the scheme or waive \
-                     the finding in staticheck.toml before reproducing results"
-                );
-                std::process::exit(1);
-            }
-            Ok(true) => {}
+    // pre-flights run before anything is built
+    for e in &experiments {
+        if let Preflight(run) = e.run {
+            let _stage = registry.histogram(&obs::names::repro_stage(e.name)).start();
+            run(&ixps);
         }
     }
 
-    let needs_world = experiments.iter().any(|e| {
-        !matches!(
-            e.as_str(),
-            "table3" | "table4" | "sanitation" | "chaos" | "stream"
-        )
-    });
-    // (the overlap analysis also needs the world)
-    let ctx = if needs_world {
+    let (store, dicts) = if experiments.iter().any(|e| e.needs_world) {
         eprintln!(
             "building world (scale {scale}, seed {seed}, {} IXPs, {} worker thread(s))...",
             ixps.len(),
             par::threads()
         );
-        let (store, dicts) = {
-            let _stage = registry.histogram(obs::names::REPRO_BUILD_WORLD).start();
-            standard_scenario(seed, scale, &ixps)
-        };
-        let dicts = ixps.iter().copied().zip(dicts).collect();
-        Ctx::new(store, dicts, ixps.clone(), seed, csv_dir.clone())
+        let _stage = registry.histogram(obs::names::REPRO_BUILD_WORLD).start();
+        standard_scenario(seed, scale, &ixps)
     } else {
-        Ctx::new(
-            SnapshotStore::new(),
-            Vec::new(),
-            ixps.clone(),
-            seed,
-            csv_dir.clone(),
-        )
+        (SnapshotStore::new(), Vec::new())
     };
+    let dicts = ixps.iter().copied().zip(dicts).collect();
+    let ctx = Ctx::new(store, dicts, ixps, seed, csv_dir.clone());
 
     if let Some(path) = &json_out {
         // the machine-readable counterpart: every analysis, one JSON file
         let report = analysis::summary::full_report(&ctx.store, &ctx.dicts);
         match serde_json::to_vec_pretty(&report) {
-            Ok(bytes) => {
-                if let Err(e) = std::fs::write(path, bytes) {
-                    eprintln!("json: cannot write {}: {e}", path.display());
-                } else {
-                    eprintln!("json: wrote {}", path.display());
-                }
-            }
+            Ok(bytes) => write_artifact("json", path, bytes),
             Err(e) => eprintln!("json: encode failed: {e}"),
         }
     }
 
     for e in &experiments {
-        let _stage = registry.histogram(&obs::names::repro_stage(e)).start();
-        match e.as_str() {
-            "table1" => run_table1(&ctx),
-            "fig1" => run_fig1(&ctx),
-            "fig2" => run_fig2(&ctx),
-            "fig3" => run_fig3(&ctx),
-            "fig4a" => run_fig4a(&ctx),
-            "fig4b" => run_fig4b(&ctx),
-            "fig4c" => run_fig4c(&ctx),
-            "table2" => run_table2(&ctx),
-            "type-counts" => run_type_counts(&ctx),
-            "fig5" => run_fig5(&ctx),
-            "fig6" => run_fig6(&ctx),
-            "ineffective" => run_ineffective(&ctx),
-            "fig7" => run_fig7(&ctx),
-            "table3" => run_table3(&ctx),
-            "table4" => run_table4(&ctx),
-            "sanitation" => run_sanitation(&ctx),
-            "overlap" => run_overlap(&ctx),
-            "chaos" => run_chaos(seed),
-            "stream" => run_stream(seed),
-            other => eprintln!("unknown experiment: {other}"),
+        if let Report(run) = e.run {
+            let _stage = registry.histogram(&obs::names::repro_stage(e.name)).start();
+            run(&ctx);
         }
     }
 
@@ -290,12 +303,9 @@ fn main() {
         Some(dir) if dir.is_dir() || std::fs::create_dir_all(dir).is_ok() => {
             dir.join("telemetry.json")
         }
-        _ => std::path::PathBuf::from("telemetry.json"),
+        _ => PathBuf::from("telemetry.json"),
     };
-    match std::fs::write(&telemetry_path, telemetry.to_json()) {
-        Ok(()) => eprintln!("telemetry: wrote {}", telemetry_path.display()),
-        Err(e) => eprintln!("telemetry: cannot write {}: {e}", telemetry_path.display()),
-    }
+    write_artifact("telemetry", &telemetry_path, telemetry.to_json());
 
     // With --trace: export the causal span tree (Perfetto-loadable) and
     // print where the wall time actually went.
@@ -317,6 +327,22 @@ fn main() {
     }
 }
 
+/// A malformed command-line flag or env override: print `what` and what
+/// was `expected`, and exit 2 instead of panicking or running a default.
+fn usage_error(what: std::fmt::Arguments, expected: &str) -> ! {
+    eprintln!("{what}: expected {expected}");
+    std::process::exit(2);
+}
+
+/// The value after `flag`, parsed; missing or unparseable exits 2.
+fn flag_value<T: std::str::FromStr>(flag: &str, raw: Option<String>, expected: &str) -> T {
+    let Some(raw) = raw else {
+        usage_error(format_args!("{flag}"), expected)
+    };
+    raw.parse()
+        .unwrap_or_else(|_| usage_error(format_args!("{flag}={raw:?}"), expected))
+}
+
 /// Read a numeric env override: unset keeps `default`; set but
 /// unparseable exits 2 naming the variable, its value and `expected`,
 /// instead of silently running the default.
@@ -326,24 +352,46 @@ fn env_override<T: std::str::FromStr>(var: &str, expected: &str, default: T) -> 
     };
     match raw.to_str().and_then(|s| s.parse().ok()) {
         Some(v) => v,
-        None => {
-            eprintln!("{var}={raw:?}: expected {expected}");
+        None => usage_error(format_args!("{var}={raw:?}"), expected),
+    }
+}
+
+/// `repro check`: run [`run_check`] and exit on anything but a clean
+/// verdict — 2 when the verification itself did not complete, 1 when
+/// error-grade findings remain.
+fn preflight_check(ixps: &[IxpId]) {
+    match run_check(ixps) {
+        Err(msg) => {
+            // staticheck's exit 2: the analysis itself did not run
+            eprintln!(
+                "check: static verification did not complete ({msg}) — an \
+                 internal error, not a policy finding; fix staticheck.toml \
+                 syntax and rerun"
+            );
             std::process::exit(2);
         }
+        Ok(false) => {
+            // staticheck's exit 1: real error-grade findings remain
+            eprintln!(
+                "check: error-grade policy findings — fix the scheme or waive \
+                 the finding in staticheck.toml before reproducing results"
+            );
+            std::process::exit(1);
+        }
+        Ok(true) => {}
     }
 }
 
 /// Pre-flight: statically verify every configured IXP's route-server
 /// config + dictionary with `staticheck` before building any world,
 /// then cross-check the dictionaries against each other (SC006), then
-/// scan the workspace sources (lints + dataflow, `--cache` by default
-/// so repeats are warm). The
-/// repo allowlist (`staticheck.toml`) is honored, mirroring the CLI
-/// gate. `Ok(false)` means error-grade findings remain (staticheck
-/// exit 1); `Err` means the verification itself failed (staticheck
-/// exit 2) — a malformed allowlist, not a policy finding.
+/// scan the workspace sources (lints + dataflow). The repo allowlist
+/// (`staticheck.toml`) is honored, mirroring the CLI gate. `Ok(false)`
+/// means error-grade findings remain (staticheck exit 1); `Err` means
+/// the verification itself failed (staticheck exit 2) — a malformed
+/// allowlist, not a policy finding.
 fn run_check(ixps: &[IxpId]) -> Result<bool, String> {
-    let allow_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../staticheck.toml");
+    let allow_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../staticheck.toml");
     let allow = staticheck::Allowlist::load(&allow_path).map_err(|e| e.to_string())?;
     let gating = |diags: &[staticheck::Diagnostic]| -> Vec<staticheck::Diagnostic> {
         diags
@@ -357,73 +405,42 @@ fn run_check(ixps: &[IxpId]) -> Result<bool, String> {
         &["IXP", "Errors", "Warnings", "Status"],
     );
     let mut clean = true;
-    let mut dicts = Vec::new();
-    for ixp in ixps {
-        let config = route_server::config::RsConfig::for_ixp(*ixp);
-        let dict = community_dict::schemes::dictionary(*ixp);
-        let diags = staticheck::policy::verify(&config, &dict, None);
-        dicts.push(dict);
-        let errors = gating(&diags);
+    // one row per scope: its gating findings are errors, the rest warnings
+    let mut tally = |scope: &str, diags: &[staticheck::Diagnostic]| {
+        let errors = gating(diags);
         for d in &errors {
-            eprintln!("check: {} {d}", ixp.short_name());
+            eprintln!("check: {scope} {d}");
         }
         clean &= errors.is_empty();
         t.row([
-            ixp.short_name().to_string(),
+            scope.to_string(),
             errors.len().to_string(),
             (diags.len() - errors.len()).to_string(),
             if errors.is_empty() { "ok" } else { "FAIL" }.to_string(),
         ]);
+    };
+    let mut dicts = Vec::new();
+    for ixp in ixps {
+        let config = route_server::config::RsConfig::for_ixp(*ixp);
+        let dict = community_dict::schemes::dictionary(*ixp);
+        tally(
+            ixp.short_name(),
+            &staticheck::policy::verify(&config, &dict, None),
+        );
+        dicts.push(dict);
     }
-    let drift = staticheck::policy::verify_cross_dictionaries(&dicts);
-    let drift_errors = gating(&drift);
-    for d in &drift_errors {
-        eprintln!("check: cross-IXP {d}");
-    }
-    clean &= drift_errors.is_empty();
-    t.row([
-        "cross-IXP".to_string(),
-        drift_errors.len().to_string(),
-        (drift.len() - drift_errors.len()).to_string(),
-        if drift_errors.is_empty() {
-            "ok"
-        } else {
-            "FAIL"
-        }
-        .to_string(),
-    ]);
+    tally(
+        "cross-IXP",
+        &staticheck::policy::verify_cross_dictionaries(&dicts),
+    );
 
     // Workspace scan (token lints + concurrency/determinism dataflow,
-    // SC101-SC112) through the incremental cache: a warm repeat costs
-    // milliseconds, so the pre-flight always includes it by default.
-    let root = allow_path.parent().unwrap_or(std::path::Path::new("."));
-    let cache_path = root.join("target/staticheck.cache");
-    let args: Vec<String> = [
-        "lints",
-        "--root",
-        root.to_str().unwrap_or("."),
-        "--cache",
-        cache_path.to_str().unwrap_or("target/staticheck.cache"),
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
+    // SC101-SC112): the same scan as `staticheck lints`, whose findings
+    // are already past the allowlist.
+    let root = allow_path.parent().unwrap_or(Path::new("."));
+    let args = ["lints", "--root", root.to_str().unwrap_or(".")].map(String::from);
     let (ws, _) = staticheck::cli::run_captured(&args).map_err(|e| e.to_string())?;
-    let ws_errors: Vec<_> = ws
-        .findings
-        .iter()
-        .filter(|d| d.severity == staticheck::Severity::Error)
-        .collect();
-    for d in &ws_errors {
-        eprintln!("check: workspace {d}");
-    }
-    clean &= ws_errors.is_empty();
-    t.row([
-        "workspace".to_string(),
-        ws_errors.len().to_string(),
-        (ws.findings.len() - ws_errors.len()).to_string(),
-        if ws_errors.is_empty() { "ok" } else { "FAIL" }.to_string(),
-    ]);
+    tally("workspace", &ws.findings);
     println!("{}", t.render());
     Ok(clean)
 }
@@ -464,40 +481,47 @@ fn run_table1(ctx: &Ctx) {
     println!("{}", t.render());
 }
 
-fn run_fig1(ctx: &Ctx) {
-    let mut csv_rows: Vec<Vec<String>> = Vec::new();
-    let mut t = TextTable::new(
-        "Fig. 1 — IXP-defined vs unknown communities",
-        &[
-            "IXP",
-            "AFI",
-            "Total",
-            "Defined%",
-            "Unknown%",
-            "Paper(def/unk v4)",
-        ],
-    );
+/// One table row per (IXP, family) with a view: the IXP and family
+/// cells, then `cells(ixp, afi, view)`, then — when `paper` is given —
+/// the paper's IPv4 value (empty on IPv6 and where the paper has none).
+/// `headers` name the columns after IXP and AFI.
+fn unit_table(
+    ctx: &Ctx,
+    title: &str,
+    headers: &[&str],
+    paper: Option<fn(IxpId) -> Option<String>>,
+    mut cells: impl FnMut(IxpId, Afi, &View) -> Vec<String>,
+) {
+    let headers: Vec<&str> = ["IXP", "AFI"].iter().chain(headers).copied().collect();
+    let mut t = TextTable::new(title, &headers);
     for ixp in &ctx.ixps {
         for afi in AFIS {
             let Some(view) = ctx.view(*ixp, afi) else {
                 continue;
             };
+            let mut row = vec![ixp.short_name().to_string(), afi.to_string()];
+            row.extend(cells(*ixp, afi, view));
+            if let Some(paper) = paper {
+                row.push(match afi {
+                    Afi::Ipv4 => paper(*ixp).unwrap_or_default(),
+                    Afi::Ipv6 => String::new(),
+                });
+            }
+            t.row(row);
+        }
+    }
+    println!("{}", t.render());
+}
+
+fn run_fig1(ctx: &Ctx) {
+    let mut csv_rows: Vec<Vec<String>> = Vec::new();
+    unit_table(
+        ctx,
+        "Fig. 1 — IXP-defined vs unknown communities",
+        &["Total", "Defined%", "Unknown%", "Paper(def/unk v4)"],
+        Some(|ixp| paper::fig1_v4(ixp).map(|(d, u)| format!("{d:.1}/{u:.1}"))),
+        |ixp, afi, view| {
             let f = fig1(view);
-            let paper = if afi == Afi::Ipv4 {
-                paper::fig1_v4(*ixp)
-                    .map(|(d, u)| format!("{d:.1}/{u:.1}"))
-                    .unwrap_or_default()
-            } else {
-                String::new()
-            };
-            t.row([
-                ixp.short_name().to_string(),
-                afi.to_string(),
-                human_count(f.total),
-                pct1(f.defined_pct()),
-                pct1(f.unknown_pct()),
-                paper,
-            ]);
             csv_rows.push(vec![
                 ixp.short_name().to_string(),
                 afi.to_string(),
@@ -505,9 +529,13 @@ fn run_fig1(ctx: &Ctx) {
                 f.ixp_defined.to_string(),
                 f.unknown.to_string(),
             ]);
-        }
-    }
-    println!("{}", t.render());
+            vec![
+                human_count(f.total),
+                pct1(f.defined_pct()),
+                pct1(f.unknown_pct()),
+            ]
+        },
+    );
     ctx.csv(
         "fig1_defined_vs_unknown",
         &["ixp", "afi", "total", "defined", "unknown"],
@@ -516,121 +544,62 @@ fn run_fig1(ctx: &Ctx) {
 }
 
 fn run_fig2(ctx: &Ctx) {
-    let mut t = TextTable::new(
+    unit_table(
+        ctx,
         "Fig. 2 — community types among IXP-defined",
-        &[
-            "IXP",
-            "AFI",
-            "Defined",
-            "Std%",
-            "Ext%",
-            "Large%",
-            "Paper std% (v4)",
-        ],
-    );
-    for ixp in &ctx.ixps {
-        for afi in AFIS {
-            let Some(view) = ctx.view(*ixp, afi) else {
-                continue;
-            };
+        &["Defined", "Std%", "Ext%", "Large%", "Paper std% (v4)"],
+        Some(|ixp| paper::fig2_standard_v4(ixp).map(|p| format!("{p:.1}"))),
+        |_, _, view| {
             let f = fig2(view);
-            let paper = if afi == Afi::Ipv4 {
-                paper::fig2_standard_v4(*ixp)
-                    .map(|p| format!("{p:.1}"))
-                    .unwrap_or_default()
-            } else {
-                String::new()
-            };
-            t.row([
-                ixp.short_name().to_string(),
-                afi.to_string(),
+            vec![
                 human_count(f.total_defined),
                 pct1(f.standard_pct()),
                 pct1(f.extended_pct()),
                 pct1(f.large_pct()),
-                paper,
-            ]);
-        }
-    }
-    println!("{}", t.render());
+            ]
+        },
+    );
 }
 
 fn run_fig3(ctx: &Ctx) {
-    let mut t = TextTable::new(
+    unit_table(
+        ctx,
         "Fig. 3 — action vs informational (standard, IXP-defined)",
-        &[
-            "IXP",
-            "AFI",
-            "Total",
-            "Action%",
-            "Info%",
-            "Paper(action/info v4)",
-        ],
-    );
-    for ixp in &ctx.ixps {
-        for afi in AFIS {
-            let Some(view) = ctx.view(*ixp, afi) else {
-                continue;
-            };
+        &["Total", "Action%", "Info%", "Paper(action/info v4)"],
+        Some(|ixp| paper::fig3_v4(ixp).map(|(a, i)| format!("{a:.1}/{i:.1}"))),
+        |_, _, view| {
             let f = fig3(view);
-            let paper = if afi == Afi::Ipv4 {
-                paper::fig3_v4(*ixp)
-                    .map(|(a, i)| format!("{a:.1}/{i:.1}"))
-                    .unwrap_or_default()
-            } else {
-                String::new()
-            };
-            t.row([
-                ixp.short_name().to_string(),
-                afi.to_string(),
+            vec![
                 human_count(f.total),
                 pct1(f.action_pct()),
                 pct1(f.informational_pct()),
-                paper,
-            ]);
-        }
-    }
-    println!("{}", t.render());
+            ]
+        },
+    );
 }
 
 fn run_fig4a(ctx: &Ctx) {
-    let mut t = TextTable::new(
+    unit_table(
+        ctx,
         "Fig. 4a — ASes and routes using action communities",
         &[
-            "IXP",
-            "AFI",
             "ASes",
             "ASes%",
             "Routes",
             "Routes%",
             "Paper(ASes% v4/v6, routes% v4)",
         ],
-    );
-    for ixp in &ctx.ixps {
-        for afi in AFIS {
-            let Some(view) = ctx.view(*ixp, afi) else {
-                continue;
-            };
+        Some(|ixp| paper::fig4a(ixp).map(|(a4, a6, r4)| format!("{a4:.1}/{a6:.1}, {r4:.1}"))),
+        |_, _, view| {
             let f = fig4a(view);
-            let paper = if afi == Afi::Ipv4 {
-                paper::fig4a(*ixp)
-                    .map(|(a4, a6, r4)| format!("{a4:.1}/{a6:.1}, {r4:.1}"))
-                    .unwrap_or_default()
-            } else {
-                String::new()
-            };
-            t.row([
-                ixp.short_name().to_string(),
-                afi.to_string(),
+            vec![
                 f.ases_using_actions.to_string(),
                 pct1(f.ases_pct()),
                 human_count(f.routes_with_actions as u64),
                 pct1(f.routes_pct()),
-                paper,
-            ]);
-        }
-    }
-    println!("{}", t.render());
+            ]
+        },
+    );
 }
 
 fn run_fig4b(ctx: &Ctx) {
@@ -646,12 +615,9 @@ fn run_fig4b(ctx: &Ctx) {
             "Paper top1% (v4)",
         ],
     );
-    for ixp in &ctx.ixps {
-        let Some(view) = ctx.view(*ixp, Afi::Ipv4) else {
-            continue;
-        };
+    for (ixp, view) in ctx.v4_views() {
         let f = fig4b(view);
-        let paper = paper::fig4b_top1pct(*ixp)
+        let paper = paper::fig4b_top1pct(ixp)
             .map(|p| format!("~{:.0}%", p * 100.0))
             .unwrap_or_default();
         t.row([
@@ -691,10 +657,7 @@ fn run_fig4c(ctx: &Ctx) {
             "Paper",
         ],
     );
-    for ixp in &ctx.ixps {
-        let Some(view) = ctx.view(*ixp, Afi::Ipv4) else {
-            continue;
-        };
+    for (ixp, view) in ctx.v4_views() {
         let f = fig4c(view);
         let (ul, br) = f.asymmetry();
         t.row([
@@ -728,104 +691,51 @@ fn run_fig4c(ctx: &Ctx) {
 }
 
 fn run_table2(ctx: &Ctx) {
-    let mut t = TextTable::new(
+    unit_table(
+        ctx,
         "Table 2 — ASes using each action type",
         &[
-            "IXP",
-            "AFI",
             "DoNotAnnounce",
             "AnnounceOnly",
             "Prepend",
             "Blackhole",
             "Paper % (v4)",
         ],
-    );
-    for ixp in &ctx.ixps {
-        for afi in AFIS {
-            let Some(view) = ctx.view(*ixp, afi) else {
-                continue;
-            };
+        Some(|ixp| {
+            paper::table2_v4(ixp).map(|(a, b, c, d)| format!("{a:.1}/{b:.1}/{c:.1}/{d:.1}"))
+        }),
+        |_, _, view| {
             let tb = table2(view);
-            let cell = |g: ActionGroup| format!("{} ({})", tb.count(g), pct1(tb.pct(g)));
-            let paper = if afi == Afi::Ipv4 {
-                paper::table2_v4(*ixp)
-                    .map(|(a, b, c, d)| format!("{a:.1}/{b:.1}/{c:.1}/{d:.1}"))
-                    .unwrap_or_default()
-            } else {
-                String::new()
-            };
-            t.row([
-                ixp.short_name().to_string(),
-                afi.to_string(),
-                cell(ActionGroup::DoNotAnnounceTo),
-                cell(ActionGroup::AnnounceOnlyTo),
-                cell(ActionGroup::PrependTo),
-                cell(ActionGroup::Blackhole),
-                paper,
-            ]);
-        }
-    }
-    println!("{}", t.render());
+            ActionGroup::ALL
+                .map(|g| format!("{} ({})", tb.count(g), pct1(tb.pct(g))))
+                .to_vec()
+        },
+    );
 }
 
 fn run_type_counts(ctx: &Ctx) {
-    let mut t = TextTable::new(
+    unit_table(
+        ctx,
         "§5.3 — action instances per type",
-        &[
-            "IXP",
-            "AFI",
-            "Total",
-            "Avoid%",
-            "Only%",
-            "Prepend%",
-            "Blackhole%",
-        ],
-    );
-    for ixp in &ctx.ixps {
-        for afi in AFIS {
-            let Some(view) = ctx.view(*ixp, afi) else {
-                continue;
-            };
+        &["Total", "Avoid%", "Only%", "Prepend%", "Blackhole%"],
+        None,
+        |_, _, view| {
             let tc = type_counts(view);
-            t.row([
-                ixp.short_name().to_string(),
-                afi.to_string(),
-                human_count(tc.total),
-                pct1(tc.pct(ActionGroup::DoNotAnnounceTo)),
-                pct1(tc.pct(ActionGroup::AnnounceOnlyTo)),
-                pct1(tc.pct(ActionGroup::PrependTo)),
-                pct1(tc.pct(ActionGroup::Blackhole)),
-            ]);
-        }
-    }
+            let mut cells = vec![human_count(tc.total)];
+            cells.extend(ActionGroup::ALL.map(|g| pct1(tc.pct(g))));
+            cells
+        },
+    );
     let (a, b, c, d) = paper::TYPE_MIX_V4;
-    println!("{}", t.render());
     println!("paper IPv4 ranges: avoid {a}, only {b}, prepend {c}, blackhole {d}\n");
 }
 
 fn run_fig5(ctx: &Ctx) {
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
-    for ixp in &ctx.ixps {
-        let Some(view) = ctx.view(*ixp, Afi::Ipv4) else {
-            continue;
-        };
+    for (ixp, view) in ctx.v4_views() {
         let f = fig5(view);
-        let mut t = TextTable::new(
-            format!(
-                "Fig. 5 — top-20 action communities at {} (IPv4, total {})",
-                ixp.short_name(),
-                human_count(f.total_in_scope)
-            ),
-            &["#", "Community", "Meaning", "Count", "Share"],
-        );
+        print_top(&f, "Fig. 5 — top-20 action communities", "Share");
         for (i, r) in f.top.iter().enumerate() {
-            t.row([
-                (i + 1).to_string(),
-                r.community.to_string(),
-                r.label.clone(),
-                r.count.to_string(),
-                pct1(r.share_pct),
-            ]);
             csv_rows.push(vec![
                 ixp.short_name().to_string(),
                 (i + 1).to_string(),
@@ -835,8 +745,7 @@ fn run_fig5(ctx: &Ctx) {
                 format!("{:.4}", r.share_pct),
             ]);
         }
-        println!("{}", t.render());
-        if let Some((label, share)) = paper::fig5_top_v4(*ixp) {
+        if let Some((label, share)) = paper::fig5_top_v4(ixp) {
             println!("paper top: \"{label}\" at {share}%\n");
         }
     }
@@ -848,78 +757,67 @@ fn run_fig5(ctx: &Ctx) {
 }
 
 fn run_fig6(ctx: &Ctx) {
-    for ixp in &ctx.ixps {
-        let Some(view) = ctx.view(*ixp, Afi::Ipv4) else {
-            continue;
-        };
-        let f = fig6(view);
-        let mut t = TextTable::new(
-            format!(
-                "Fig. 6 — top-20 action communities targeting non-RS members at {} (IPv4, total {})",
-                ixp.short_name(),
-                human_count(f.total_in_scope)
-            ),
-            &["#", "Community", "Meaning", "Count", "Share of all actions"],
+    for (ixp, view) in ctx.v4_views() {
+        print_top(
+            &fig6(view),
+            "Fig. 6 — top-20 action communities targeting non-RS members",
+            "Share of all actions",
         );
-        for (i, r) in f.top.iter().take(20).enumerate() {
-            t.row([
-                (i + 1).to_string(),
-                r.community.to_string(),
-                r.label.clone(),
-                r.count.to_string(),
-                pct1(r.share_pct),
-            ]);
-        }
-        println!("{}", t.render());
-        if let Some(n) = paper::fig6_in_top20_v4(*ixp) {
+        if let Some(n) = paper::fig6_in_top20_v4(ixp) {
             println!("paper: {n} of the top-20 target non-members (IPv4)\n");
         }
     }
 }
 
-fn run_ineffective(ctx: &Ctx) {
+/// One IXP's ranked table for Fig. 5 or Fig. 6.
+fn print_top(f: &TopCommunities, title: &str, share_header: &str) {
     let mut t = TextTable::new(
-        "§5.5 — action communities targeting ASes not at the RS",
-        &[
-            "IXP",
-            "AFI",
-            "Actions",
-            "Ineffective",
-            "Share",
-            "Paper share",
-        ],
+        format!(
+            "{title} at {} (IPv4, total {})",
+            f.ixp.short_name(),
+            human_count(f.total_in_scope)
+        ),
+        &["#", "Community", "Meaning", "Count", share_header],
     );
-    for ixp in &ctx.ixps {
-        for afi in AFIS {
-            let Some(view) = ctx.view(*ixp, afi) else {
-                continue;
-            };
-            let i = ineffective(view);
-            let paper = match afi {
-                Afi::Ipv4 => paper::ineffective_v4(*ixp),
-                Afi::Ipv6 => paper::ineffective_v6(*ixp),
-            }
-            .map(|p| format!("{p:.1}%"))
-            .unwrap_or_default();
-            t.row([
-                ixp.short_name().to_string(),
-                afi.to_string(),
-                human_count(i.total_actions),
-                human_count(i.ineffective),
-                pct1(i.pct()),
-                paper,
-            ]);
-        }
+    for (i, r) in f.top.iter().enumerate() {
+        t.row([
+            (i + 1).to_string(),
+            r.community.to_string(),
+            r.label.clone(),
+            r.count.to_string(),
+            pct1(r.share_pct),
+        ]);
     }
     println!("{}", t.render());
 }
 
+fn run_ineffective(ctx: &Ctx) {
+    // the paper reports this share for both families, so the paper cell
+    // is part of the row rather than the IPv4-only paper column
+    unit_table(
+        ctx,
+        "§5.5 — action communities targeting ASes not at the RS",
+        &["Actions", "Ineffective", "Share", "Paper share"],
+        None,
+        |ixp, afi, view| {
+            let i = ineffective(view);
+            let paper = match afi {
+                Afi::Ipv4 => paper::ineffective_v4(ixp),
+                Afi::Ipv6 => paper::ineffective_v6(ixp),
+            };
+            vec![
+                human_count(i.total_actions),
+                human_count(i.ineffective),
+                pct1(i.pct()),
+                paper.map(|p| format!("{p:.1}%")).unwrap_or_default(),
+            ]
+        },
+    );
+}
+
 fn run_fig7(ctx: &Ctx) {
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
-    for ixp in &ctx.ixps {
-        let Some(view) = ctx.view(*ixp, Afi::Ipv4) else {
-            continue;
-        };
+    for (ixp, view) in ctx.v4_views() {
         let f = fig7(view, 10);
         let mut t = TextTable::new(
             format!(
@@ -963,7 +861,7 @@ fn run_fig7(ctx: &Ctx) {
     );
 }
 
-fn timeline_series(ctx: &Ctx) -> Vec<ixp_sim::timeline::Series> {
+fn timeline_series(ctx: &Ctx) -> Vec<Series> {
     generate_all(&TimelineConfig {
         seed: ctx.seed,
         ..TimelineConfig::default()
@@ -971,40 +869,33 @@ fn timeline_series(ctx: &Ctx) -> Vec<ixp_sim::timeline::Series> {
 }
 
 fn run_table3(ctx: &Ctx) {
-    let mut t = TextTable::new(
+    stability_table(
+        ctx,
         "Table 3 — variation across seven daily snapshots (last clean week)",
-        &[
-            "IXP",
-            "AFI",
-            "Memb min–max (diff%)",
-            "Pfx diff%",
-            "Routes diff%",
-            "Comm diff%",
-        ],
+        Series::last_week,
+        "paper: the highest weekly difference was 3.91% (AMS-IX v4 communities)",
     );
-    for s in timeline_series(ctx) {
-        let row = StabilityRow::from_points(s.ixp, s.afi, &s.last_week());
-        t.row([
-            s.ixp.short_name().to_string(),
-            s.afi.to_string(),
-            format!(
-                "{}–{} ({:.2}%)",
-                row.members.min,
-                row.members.max,
-                row.members.diff_pct()
-            ),
-            format!("{:.2}%", row.prefixes.diff_pct()),
-            format!("{:.2}%", row.routes.diff_pct()),
-            format!("{:.2}%", row.communities.diff_pct()),
-        ]);
-    }
-    println!("{}", t.render());
-    println!("paper: the highest weekly difference was 3.91% (AMS-IX v4 communities)\n");
 }
 
 fn run_table4(ctx: &Ctx) {
-    let mut t = TextTable::new(
+    stability_table(
+        ctx,
         "Table 4 — variation across twelve weekly snapshots",
+        Series::weekly,
+        "paper: median min-max difference 5.31%; highest 18.03% (DE-CIX-Mad v4 communities)",
+    );
+}
+
+/// Tables 3 and 4: the min–max variation of each timeline series over
+/// the snapshots `points` selects.
+fn stability_table(
+    ctx: &Ctx,
+    title: &str,
+    points: fn(&Series) -> Vec<SeriesPoint>,
+    paper_line: &str,
+) {
+    let mut t = TextTable::new(
+        title,
         &[
             "IXP",
             "AFI",
@@ -1015,7 +906,7 @@ fn run_table4(ctx: &Ctx) {
         ],
     );
     for s in timeline_series(ctx) {
-        let row = StabilityRow::from_points(s.ixp, s.afi, &s.weekly());
+        let row = StabilityRow::from_points(s.ixp, s.afi, &points(&s));
         t.row([
             s.ixp.short_name().to_string(),
             s.afi.to_string(),
@@ -1031,9 +922,7 @@ fn run_table4(ctx: &Ctx) {
         ]);
     }
     println!("{}", t.render());
-    println!(
-        "paper: median min-max difference 5.31%; highest 18.03% (DE-CIX-Mad v4 communities)\n"
-    );
+    println!("{paper_line}\n");
 }
 
 fn run_sanitation(ctx: &Ctx) {
@@ -1081,16 +970,11 @@ fn run_sanitation(ctx: &Ctx) {
         "paper: removed 169 snapshots (= {:.1}%)\n",
         paper::SANITATION_REMOVED_PCT
     );
-    let _ = known::name_of; // keep the import meaningful for future columns
 }
 
 fn run_overlap(ctx: &Ctx) {
     // §5.4: intersections of the top-20 avoid targets across IXPs
-    let tops: Vec<TopCommunities> = ctx
-        .ixps
-        .iter()
-        .filter_map(|ixp| ctx.view(*ixp, Afi::Ipv4).map(fig5))
-        .collect();
+    let tops: Vec<TopCommunities> = ctx.v4_views().map(|(_, view)| fig5(view)).collect();
     let ov = target_overlap_from_tops(&tops.iter().collect::<Vec<_>>());
     let mut t = TextTable::new(
         "§5.4 — cross-IXP intersection of top-20 avoid targets (IPv4)",
@@ -1126,7 +1010,8 @@ fn run_overlap(ctx: &Ctx) {
 /// chaos validates the *pipeline*, not the paper's numbers. Exits
 /// nonzero if any seed produces an oracle violation or a
 /// non-deterministic replay.
-fn run_chaos(master_seed: u64) {
+fn run_chaos(ctx: &Ctx) {
+    let master_seed = ctx.seed;
     use chaos::prelude::*;
 
     let seeds: u64 = env_override("CHAOS_SEEDS", "a seed count (u64)", 8);
@@ -1181,7 +1066,8 @@ fn run_chaos(master_seed: u64) {
 /// Also prints, per day, the verdict and timing of the incremental
 /// report finalize (O(churn) path) against the batch recompute over the
 /// same end-of-day snapshot; a diverged day is an oracle violation.
-fn run_stream(master_seed: u64) {
+fn run_stream(ctx: &Ctx) {
+    let master_seed = ctx.seed;
     use chaos::prelude::*;
 
     let days: u32 = env_override("STREAM_DAYS", "a day count (u32)", 12);

@@ -32,7 +32,7 @@ use route_server::rules::ImportRule;
 
 use crate::allow::Allowlist;
 use crate::diag::{Diagnostic, Report};
-use crate::{cache, dataflow, diag, lints, policy, sarif};
+use crate::{dataflow, diag, lints, policy, sarif};
 
 /// A self-contained policy-verification scenario, loadable from JSON.
 /// Used by the seeded-violation fixtures under `tests/fixtures/`.
@@ -108,7 +108,6 @@ struct Options {
     fixture: Option<PathBuf>,
     allowlist: Option<PathBuf>,
     no_allowlist: bool,
-    cache: Option<PathBuf>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,7 +136,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         fixture: None,
         allowlist: None,
         no_allowlist: false,
-        cache: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -173,10 +171,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.allowlist = Some(PathBuf::from(v));
             }
             "--no-allowlist" => opts.no_allowlist = true,
-            "--cache" => {
-                let v = it.next().ok_or("--cache needs a file path")?;
-                opts.cache = Some(PathBuf::from(v));
-            }
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown argument {other:?}\n{USAGE}")),
         }
@@ -203,10 +197,6 @@ options:
   --fixture F.json verify a self-contained policy scenario
   --allowlist F    allowlist file (default: <root>/staticheck.toml)
   --no-allowlist   ignore the allowlist entirely
-  --cache FILE     incremental cache (e.g. target/staticheck.cache):
-                   unchanged files reuse cached findings, changed files
-                   re-analyze with their reverse-callgraph cone; warm
-                   output is byte-identical to a cold run
   --explain SCxxx  print the catalog entry for a diagnostic code
                    (rationale + waiver policy) and exit; unknown codes
                    exit 2
@@ -255,9 +245,6 @@ pub fn run(args: &[String]) -> i32 {
     }
     match run_captured(args) {
         Ok((report, output)) => {
-            if let Some(stats) = &output.cache_stats {
-                eprintln!("{stats}");
-            }
             match output.format {
                 Format::Json => println!("{}", report.render_json()),
                 Format::Sarif => print!("{}", sarif::render_sarif(&report)),
@@ -279,9 +266,6 @@ pub struct OutputOpts {
     pub format: Format,
     /// Include warning-severity findings in text output.
     pub warnings: bool,
-    /// Cache-hit statistics for stderr / the CI artifact, when the run
-    /// used `--cache`.
-    pub cache_stats: Option<String>,
 }
 
 /// The testable core of [`run`]: everything but printing and exiting.
@@ -301,44 +285,22 @@ pub fn run_captured(args: &[String]) -> Result<(Report, OutputOpts), String> {
     };
 
     let mut findings = Vec::new();
-    let mut cache_stats = None;
-    if let (Some(cache_path), None) = (&opts.cache, &opts.fixture) {
-        // the cached pipeline covers policy + lints + dataflow in one
-        // pass; fixtures bypass it (their inputs live outside the tree)
-        let allow_salt = if opts.no_allowlist {
-            "no-allowlist".to_string()
-        } else {
-            cache::fnv_hex(format!("{:?}", allowlist.entries).as_bytes())
-        };
-        let shape = cache::RunShape {
-            root: &opts.root,
-            only: opts.only.as_deref(),
-            run_policy: opts.mode != Mode::Lints,
-            run_lints: opts.mode != Mode::Policy,
-            allow_salt: &allow_salt,
-        };
-        let (cached, stats) =
-            cache::analyze(&shape, &allowlist, cache_path, verify_builtin_schemes);
-        findings = cached;
-        cache_stats = Some(stats.render());
-    } else {
-        if opts.mode != Mode::Lints {
-            match &opts.fixture {
-                Some(path) => {
-                    let text = std::fs::read_to_string(path)
-                        .map_err(|e| format!("cannot read fixture {}: {e}", path.display()))?;
-                    let fixture: Fixture = serde_json::from_str(&text)
-                        .map_err(|e| format!("bad fixture {}: {e}", path.display()))?;
-                    findings.extend(fixture.verify());
-                }
-                None => findings.extend(verify_builtin_schemes()),
+    if opts.mode != Mode::Lints {
+        match &opts.fixture {
+            Some(path) => {
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| format!("cannot read fixture {}: {e}", path.display()))?;
+                let fixture: Fixture = serde_json::from_str(&text)
+                    .map_err(|e| format!("bad fixture {}: {e}", path.display()))?;
+                findings.extend(fixture.verify());
             }
+            None => findings.extend(verify_builtin_schemes()),
         }
-        if opts.mode != Mode::Policy {
-            let only = opts.only.as_deref();
-            findings.extend(lints::lint_workspace(&opts.root, only));
-            findings.extend(dataflow::analyze(&opts.root, &allowlist, only));
-        }
+    }
+    if opts.mode != Mode::Policy {
+        let only = opts.only.as_deref();
+        findings.extend(lints::lint_workspace(&opts.root, only));
+        findings.extend(dataflow::analyze(&opts.root, &allowlist, only));
     }
 
     let mut report = Report::default();
@@ -354,7 +316,6 @@ pub fn run_captured(args: &[String]) -> Result<(Report, OutputOpts), String> {
         OutputOpts {
             format: opts.format,
             warnings: opts.warnings,
-            cache_stats,
         },
     ))
 }

@@ -54,20 +54,12 @@ fn unsync_im(ty: &str) -> bool {
 }
 
 /// Run all four checks. `sink_next` is SC107's sink-reachability map
-/// (reused by SC111). `in_scope` is the incremental cache's dirty-cone
-/// filter for the per-file checks; SC110 is global (an inversion pairs
-/// two witness sites in arbitrary files) and always runs in full.
-pub fn check(
-    graph: &CallGraph,
-    sink_next: &[Option<usize>],
-    in_scope: &impl Fn(usize) -> bool,
-    out: &mut Vec<Diagnostic>,
-) {
+/// (reused by SC111).
+pub fn check(graph: &CallGraph, sink_next: &[Option<usize>], out: &mut Vec<Diagnostic>) {
     let par_tasks: Vec<usize> = (0..graph.nodes.len())
         .filter(|&i| {
             let def = graph.def(i);
-            in_scope(graph.nodes[i].file)
-                && def.is_closure
+            def.is_closure
                 && def
                     .passed_to
                     .as_deref()
@@ -77,7 +69,7 @@ pub fn check(
         .collect();
     sc109(graph, &par_tasks, out);
     sc110(graph, out);
-    sc111(graph, sink_next, in_scope, out);
+    sc111(graph, sink_next, out);
     sc112(graph, &par_tasks, out);
 }
 
@@ -596,15 +588,10 @@ const RELAXED_READS: [&str; 10] = [
     "compare_exchange",
 ];
 
-fn sc111(
-    graph: &CallGraph,
-    sink_next: &[Option<usize>],
-    in_scope: &impl Fn(usize) -> bool,
-    out: &mut Vec<Diagnostic>,
-) {
+fn sc111(graph: &CallGraph, sink_next: &[Option<usize>], out: &mut Vec<Diagnostic>) {
     for (i, node) in graph.nodes.iter().enumerate() {
         let def = graph.def(i);
-        if !in_scope(node.file) || def.is_closure || def.body.0 >= def.body.1 {
+        if def.is_closure || def.body.0 >= def.body.1 {
             continue; // closure tokens scan inside the enclosing fn
         }
         let scan = Scan {

@@ -113,40 +113,11 @@ pub(crate) fn is_sink_name(qual: Option<&str>, name: &str) -> bool {
 /// `only` restricts analysis to files whose workspace-relative path
 /// starts with it (the `--only` self-lint filter).
 pub fn analyze(root: &Path, allow: &Allowlist, only: Option<&str>) -> Vec<Diagnostic> {
-    let mut sources = Vec::new();
-    for file in crate::lints::workspace_sources(root) {
-        let Ok(text) = std::fs::read_to_string(&file) else {
-            continue;
-        };
-        let rel = file
-            .strip_prefix(root)
-            .unwrap_or(&file)
-            .to_string_lossy()
-            .replace('\\', "/");
-        if only.is_some_and(|p| !rel.starts_with(p)) {
-            continue;
-        }
-        sources.push((rel, text));
-    }
-    analyze_sources(&sources, allow)
+    analyze_sources(&crate::lints::workspace_sources(root, only), allow)
 }
 
 /// The testable core: analyze in-memory `(rel_path, source)` pairs.
 pub fn analyze_sources(sources: &[(String, String)], allow: &Allowlist) -> Vec<Diagnostic> {
-    analyze_sources_filtered(sources, allow, None)
-}
-
-/// Like [`analyze_sources`], but when `dirty` is `Some`, the per-file
-/// checks (SC107/SC108/SC109/SC111/SC112) scan and report only
-/// functions defined in the listed file indices — the incremental
-/// cache's reverse-callgraph cone. The global passes (SC110) always run
-/// over the whole graph; reachability maps are always global, so a
-/// dirty file's chains still extend through clean files.
-pub fn analyze_sources_filtered(
-    sources: &[(String, String)],
-    allow: &Allowlist,
-    dirty: Option<&BTreeSet<usize>>,
-) -> Vec<Diagnostic> {
     let files: Vec<FileSyms> = sources
         .iter()
         .map(|(rel, text)| parse_file(rel, text))
@@ -162,11 +133,10 @@ pub fn analyze_sources_filtered(
             .any(|c| is_sink_name(c.qualifier.as_deref(), &c.callee))
     });
 
-    let in_scope = |file: usize| dirty.is_none_or(|d| d.contains(&file));
     let mut out = Vec::new();
-    sc107(&graph, &sink_next, &in_scope, &mut out);
-    sc108(&graph, allow, &in_scope, &mut out);
-    crate::concurrency::check(&graph, &sink_next, &in_scope, &mut out);
+    sc107(&graph, &sink_next, &mut out);
+    sc108(&graph, allow, &mut out);
+    crate::concurrency::check(&graph, &sink_next, &mut out);
     out
 }
 
@@ -214,12 +184,7 @@ enum ChainEnd {
     Sink(String),
 }
 
-fn sc107(
-    graph: &CallGraph,
-    sink_next: &[Option<usize>],
-    in_scope: &impl Fn(usize) -> bool,
-    out: &mut Vec<Diagnostic>,
-) {
+fn sc107(graph: &CallGraph, sink_next: &[Option<usize>], out: &mut Vec<Diagnostic>) {
     // every hash-typed struct field name in the workspace: receivers are
     // matched by path segment, not resolved types
     let hash_fields: BTreeSet<&str> = graph
@@ -228,9 +193,6 @@ fn sc107(
         .flat_map(|f| f.hash_fields.iter().map(|(_, field)| field.as_str()))
         .collect();
     for (fi, file) in graph.files.iter().enumerate() {
-        if !in_scope(fi) {
-            continue;
-        }
         for (li, def) in file.fns.iter().enumerate() {
             let _ = li;
             if def.body.0 == def.body.1 {
@@ -854,12 +816,7 @@ impl FnScan<'_> {
 
 // --- SC108: interprocedural panic reachability ---------------------------
 
-fn sc108(
-    graph: &CallGraph,
-    allow: &Allowlist,
-    in_scope: &impl Fn(usize) -> bool,
-    out: &mut Vec<Diagnostic>,
-) {
+fn sc108(graph: &CallGraph, allow: &Allowlist, out: &mut Vec<Diagnostic>) {
     let in_bin = |rel: &str| rel.contains("/src/bin/");
     // a panic site is sanctioned when an SC101 allowlist entry covers it
     let sanctioned = |rel: &str, line: u32| {
@@ -884,7 +841,7 @@ fn sc108(
         .collect();
     let next = graph.reach(|i| seeds[i]);
     for (i, node) in graph.nodes.iter().enumerate() {
-        if !in_scope(node.file) || !node.is_pub || in_bin(&node.rel) || next[i].is_none() {
+        if !node.is_pub || in_bin(&node.rel) || next[i].is_none() {
             continue;
         }
         let chain = graph.chain(i, &next);

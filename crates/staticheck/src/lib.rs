@@ -95,7 +95,6 @@
 #![forbid(unsafe_code)]
 
 pub mod allow;
-pub mod cache;
 pub mod callgraph;
 pub mod cli;
 pub mod concurrency;

@@ -48,28 +48,18 @@ use crate::diag::{Diagnostic, Severity};
 /// still runs against the full root.
 pub fn lint_workspace(root: &Path, only: Option<&str>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let files = workspace_sources(root);
-    for file in &files {
-        let Ok(text) = std::fs::read_to_string(file) else {
-            continue;
-        };
-        let rel = file
-            .strip_prefix(root)
-            .unwrap_or(file)
-            .to_string_lossy()
-            .replace('\\', "/");
-        if only.is_some_and(|p| !rel.starts_with(p)) {
-            continue;
-        }
+    for (rel, text) in workspace_sources(root, only) {
         lint_file(&rel, &text, &mut out);
     }
     check_names_registry(root, &mut out);
     out
 }
 
-/// All library sources under `crates/*/src/` and the root `src/`,
-/// sorted for deterministic reports (shared with [`crate::dataflow`]).
-pub(crate) fn workspace_sources(root: &Path) -> Vec<PathBuf> {
+/// All library sources under `crates/*/src/` and the root `src/` as
+/// `(workspace-relative path, text)` pairs, sorted for deterministic
+/// reports and restricted to paths starting with `only` (shared with
+/// [`crate::dataflow`]).
+pub(crate) fn workspace_sources(root: &Path, only: Option<&str>) -> Vec<(String, String)> {
     let mut files = Vec::new();
     if let Ok(crates) = std::fs::read_dir(root.join("crates")) {
         for entry in crates.flatten() {
@@ -78,7 +68,22 @@ pub(crate) fn workspace_sources(root: &Path) -> Vec<PathBuf> {
     }
     collect_rs(&root.join("src"), &mut files);
     files.sort();
-    files
+    let mut sources = Vec::new();
+    for file in files {
+        let Ok(text) = std::fs::read_to_string(&file) else {
+            continue;
+        };
+        let rel = file
+            .strip_prefix(root)
+            .unwrap_or(&file)
+            .to_string_lossy()
+            .replace('\\', "/");
+        if only.is_some_and(|p| !rel.starts_with(p)) {
+            continue;
+        }
+        sources.push((rel, text));
+    }
+    sources
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -95,9 +100,8 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Lint one cleaned file (shared with [`crate::cache`], which calls it
-/// per changed file and reuses cached findings for the rest).
-pub(crate) fn lint_file(rel: &str, text: &str, out: &mut Vec<Diagnostic>) {
+/// Lint one cleaned file.
+fn lint_file(rel: &str, text: &str, out: &mut Vec<Diagnostic>) {
     let cleaned = clean_source(text);
     let in_obs = rel.starts_with("crates/obs/");
     let in_bin = rel.contains("/src/bin/");
@@ -274,7 +278,7 @@ fn check_metric_names(rel: &str, lineno: usize, line: &str, out: &mut Vec<Diagno
 /// SC104: the `obs::names` registry is self-consistent. Parses the raw
 /// source of `crates/obs/src/names.rs` — the registry is the one place
 /// literals are allowed, so it gets its own structural check.
-pub(crate) fn check_names_registry(root: &Path, out: &mut Vec<Diagnostic>) {
+fn check_names_registry(root: &Path, out: &mut Vec<Diagnostic>) {
     let path = root.join("crates/obs/src/names.rs");
     let rel = "crates/obs/src/names.rs";
     let Ok(text) = std::fs::read_to_string(&path) else {

@@ -2,7 +2,7 @@
 //! plants one known defect class and the verifier must report exactly
 //! the expected stable diagnostic codes, with a nonzero exit.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use staticheck::cli::run_captured;
 use staticheck::{Report, Severity};
@@ -122,10 +122,15 @@ fn drift_fixture_reports_sc006_conflict_and_fails() {
 
 /// Run `staticheck lints --root tests/fixtures/<tree>` hermetically.
 fn run_tree(tree: &str) -> Report {
+    run_root(&fixture_path(tree))
+}
+
+/// Run `staticheck lints --root <root>` with no allowlist.
+fn run_root(root: &Path) -> Report {
     let args: Vec<String> = [
         "lints",
         "--root",
-        fixture_path(tree).to_str().expect("utf-8 path"),
+        root.to_str().expect("utf-8 path"),
         "--allowlist",
         "/nonexistent/staticheck.toml",
     ]
@@ -205,6 +210,24 @@ fn sc109_tree_reports_captured_and_reached_interior_mutability() {
 }
 
 #[test]
+fn sc109_tree_is_silent_once_its_closures_run_serially() {
+    // the same tree with `par::map_indexed` swapped for a serial helper:
+    // the RefCell capture and the RefCell-reaching chain are unchanged,
+    // but no closure is a par task any more, so SC109 has nothing to say
+    let root = std::env::temp_dir().join(format!("staticheck-sc109-{}", std::process::id()));
+    for rel in ["crates/demo/src/lib.rs", "crates/obs/src/names.rs"] {
+        let text = std::fs::read_to_string(fixture_path("sc109_tree").join(rel)).expect("read");
+        let dest = root.join(rel);
+        std::fs::create_dir_all(dest.parent().expect("parent")).expect("mkdir");
+        std::fs::write(dest, text.replace("map_indexed(", "serial_map(")).expect("write");
+    }
+    let report = run_root(&root);
+    std::fs::remove_dir_all(&root).ok();
+    assert!(codes(&report).is_empty(), "{}", report.render_text());
+    assert_eq!(report.exit_code(), 0);
+}
+
+#[test]
 fn sc110_tree_reports_lock_order_inversion_with_both_witnesses() {
     let report = run_tree("sc110_tree");
     assert_eq!(codes(&report), vec!["SC110"]);
@@ -267,17 +290,7 @@ fn lints_engine_reports_seeded_violations() {
     )
     .expect("write");
 
-    let args: Vec<String> = [
-        "lints",
-        "--root",
-        root.to_str().expect("utf-8 path"),
-        "--allowlist",
-        "/nonexistent/staticheck.toml",
-    ]
-    .iter()
-    .map(|s| s.to_string())
-    .collect();
-    let (report, _) = run_captured(&args).expect("lints run");
+    let report = run_root(&root);
     std::fs::remove_dir_all(&root).ok();
 
     let mut found = codes(&report);
