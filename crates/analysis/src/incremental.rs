@@ -36,7 +36,7 @@
 //! disagree about a derivation. What can go wrong here is the state: a
 //! `View` *maintained* under apply + retract + merge over many days must
 //! equal one *folded from scratch* with apply only over a snapshot of
-//! the same store. The golden suite (`tests/incremental_equivalence.rs`)
+//! the same store. The 84-day golden (`tests/stream_equivalence.rs`)
 //! and the chaos `IncrementalDivergence` oracle hold exactly that, byte
 //! for byte, under faults; the fold itself is checked against an
 //! independent reference in `tests/naive_reference.rs`.

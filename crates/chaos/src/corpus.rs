@@ -7,26 +7,21 @@
 //! seed order, so the corpus verdict — and every dataset fingerprint in
 //! it — is identical under any `PAR_THREADS`.
 
-use crate::campaign::{run_campaign, run_stream_campaign, CampaignConfig};
-use crate::oracle::{check_campaign, check_determinism, check_stream_campaign, Violation};
+use crate::campaign::{run_campaign, CampaignConfig};
+use crate::oracle::{check_campaign, check_determinism, Violation};
 use crate::plan::FaultPlan;
 
-/// Everything one seed's campaign triple produced: the fault-plan run,
-/// its fault-free baseline comparison, and a same-seed determinism
-/// rerun.
+/// What one seed's campaign pair produced: the fault-plan run, checked
+/// against its own fault-free reference polls, and a same-seed
+/// determinism rerun.
 #[derive(Debug)]
 pub struct SeedOutcome {
     /// The campaign seed.
     pub seed: u64,
     /// Faults the plan injected (all classes).
     pub faults: u64,
-    /// FNV-1a fingerprint of the faulted run's raw+sanitized datasets.
+    /// FNV-1a fingerprint of the faulted run's datasets.
     pub dataset_hash: u64,
-    /// FNV-1a fingerprint of the dual campaign's streamed+reference
-    /// datasets.
-    pub stream_hash: u64,
-    /// Faults the stream path's dual campaign injected.
-    pub stream_faults: u64,
     /// Oracle violations, including any determinism violation from the
     /// rerun. Empty means the seed is green.
     pub violations: Vec<Violation>,
@@ -44,31 +39,14 @@ pub fn run_corpus(master_seed: u64, seeds: u64, cfg: &CampaignConfig) -> Vec<See
             .histogram(&obs::names::chaos_seed_span(seed))
             .start();
         let plan = FaultPlan::from_seed(seed, cfg.days);
-        let baseline = run_campaign(seed, &FaultPlan::none(), cfg);
         let faulted = run_campaign(seed, &plan, cfg);
-        let mut violations = check_campaign(&faulted, &baseline, &plan, cfg);
+        let mut violations = check_campaign(&faulted, &plan, cfg);
         let rerun = run_campaign(seed, &plan, cfg);
-        if let Some(v) = check_determinism(&faulted, &rerun) {
-            violations.push(v);
-        }
-        // the stream path: same plan drives a dual campaign whose
-        // equivalence + conservation oracles must stay green, and whose
-        // fingerprint must reproduce exactly
-        let streamed = run_stream_campaign(seed, &plan, cfg);
-        violations.extend(check_stream_campaign(&streamed, &plan, cfg));
-        let stream_rerun = run_stream_campaign(seed, &plan, cfg);
-        if streamed.dataset_hash != stream_rerun.dataset_hash {
-            violations.push(Violation::NonDeterministic {
-                first: streamed.dataset_hash,
-                second: stream_rerun.dataset_hash,
-            });
-        }
+        violations.extend(check_determinism(&faulted, &rerun));
         SeedOutcome {
             seed,
             faults: faulted.stats.total_faults(),
             dataset_hash: faulted.dataset_hash,
-            stream_hash: streamed.dataset_hash,
-            stream_faults: streamed.stats.total_faults(),
             violations,
             plan_json: plan.to_json(),
         }

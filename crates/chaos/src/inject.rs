@@ -30,7 +30,9 @@ pub struct InjectStats {
     /// Faults injected per class name.
     pub faults: BTreeMap<&'static str, u64>,
     /// Longest run of consecutive identical requests seen on the wire —
-    /// the observable upper bound on the client's retry behaviour.
+    /// the observable upper bound on the client's retry behaviour. A
+    /// re-poll forced by a feed page cut to nothing starts a new run: it
+    /// is progress, not a retry.
     pub max_consecutive_identical: u64,
     /// Per-(day, peer) accepted-route counts declared by the summary
     /// response that the injector saw pass through.
@@ -69,6 +71,7 @@ pub struct ChaosTransport<'a> {
     first_page: BTreeMap<Asn, LgResponse>,
     last_request: Option<String>,
     identical_run: u64,
+    repoll_forced: bool,
     churn_budget: u32,
     /// Churned (peer, prefix) announcements to withdraw at day end.
     pub churned_routes: Vec<(Asn, Prefix)>,
@@ -108,6 +111,7 @@ impl<'a> ChaosTransport<'a> {
             first_page: BTreeMap::new(),
             last_request: None,
             identical_run: 0,
+            repoll_forced: false,
             churn_budget,
             churned_routes: Vec::new(),
             flap_dropped: Vec::new(),
@@ -121,7 +125,11 @@ impl<'a> ChaosTransport<'a> {
 
     fn track_identical(&mut self, req: &LgRequest) {
         let key = serde_json::to_string(req).unwrap_or_default();
-        if self.last_request.as_deref() == Some(key.as_str()) {
+        // a feed page cut at position 0 comes back empty with a grown
+        // backlog, so the collector's next poll repeats the request with
+        // the same cursor: progress, not a retry, so it opens a new run
+        let forced = std::mem::take(&mut self.repoll_forced);
+        if !forced && self.last_request.as_deref() == Some(key.as_str()) {
             self.identical_run += 1;
         } else {
             self.identical_run = 1;
@@ -310,6 +318,7 @@ impl LgTransport for ChaosTransport<'_> {
                     let dropped = (frames.len() - cut) as u64;
                     frames.truncate(cut);
                     *backlog += dropped;
+                    self.repoll_forced = true;
                     self.stats.count(FaultClass::LostPeerDown);
                 }
             }

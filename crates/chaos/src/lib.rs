@@ -18,22 +18,27 @@
 //!   resets, and lost peer-down events on the stream feed — as data;
 //! - [`inject`] — the [`inject::ChaosTransport`] wrapper that applies a
 //!   plan to an in-process Looking Glass server;
-//! - [`campaign`] — the multi-day campaign driver, fingerprinting its
-//!   dataset with FNV-1a for the determinism oracle;
+//! - [`campaign`] — the multi-day campaign driver: each day a chaotic
+//!   snapshot poll and a chaotic stream drain through one injecting
+//!   transport, then a fault-free drain and reference poll of the same
+//!   server; it fingerprints its datasets with FNV-1a for the
+//!   determinism oracle;
 //! - [`oracle`] — the invariant oracles: completeness, summary
-//!   agreement, pagination integrity, conservation vs the fault-free
-//!   baseline, sanitation idempotence, retry bounds, time budgets,
-//!   determinism — plus the stream path's end-of-day equivalence and
-//!   update-conservation oracles.
+//!   agreement, pagination integrity, conservation vs the same day's
+//!   fault-free reference poll, sanitation idempotence, retry bounds,
+//!   time budgets, determinism, the stream path's end-of-day
+//!   equivalence and update conservation, and incremental-vs-batch
+//!   report identity;
+//! - [`corpus`] — the multi-seed driver: per seed, one campaign and its
+//!   determinism rerun.
 //!
 //! ```
 //! use chaos::prelude::*;
 //!
 //! let cfg = CampaignConfig::default();
 //! let plan = FaultPlan::from_seed(7, cfg.days);
-//! let baseline = run_campaign(7, &FaultPlan::none(), &cfg);
 //! let outcome = run_campaign(7, &plan, &cfg);
-//! let violations = check_campaign(&outcome, &baseline, &plan, &cfg);
+//! let violations = check_campaign(&outcome, &plan, &cfg);
 //! assert!(violations.is_empty(), "replay: (seed=7, plan={})", plan.to_json());
 //! ```
 
@@ -50,13 +55,12 @@ pub mod plan;
 /// Common imports for chaos tests.
 pub mod prelude {
     pub use crate::campaign::{
-        dataset_hash, run_campaign, run_stream_campaign, snapshot_fingerprint, store_fingerprint,
-        CampaignConfig, CampaignOutcome, DayRecord, StreamCampaignOutcome, StreamDayRecord,
+        run_campaign, snapshot_fingerprint, CampaignConfig, CampaignOutcome, DayRecord,
         DAY_BUDGET_MS, DAY_MS,
     };
     pub use crate::corpus::{run_corpus, SeedOutcome};
     pub use crate::inject::{ChaosTransport, InjectStats};
-    pub use crate::oracle::{check_campaign, check_determinism, check_stream_campaign, Violation};
+    pub use crate::oracle::{check_campaign, check_determinism, Violation};
     pub use crate::plan::{FaultClass, FaultPlan};
     pub use prop::{assert_holds, check, iteration_seed, CheckConfig, Choices, CounterExample};
 }

@@ -55,8 +55,9 @@ pub enum Violation {
         /// The duplicated prefix.
         prefix: Prefix,
     },
-    /// Route totals diverge from the fault-free baseline beyond what the
-    /// plan's churn can explain: the pipeline invented or lost routes.
+    /// Route totals diverge from the same day's fault-free reference poll
+    /// beyond what the plan's churn can explain: the pipeline invented or
+    /// lost routes.
     ConservationBroken {
         /// Day of the divergence.
         day: u32,
@@ -232,26 +233,38 @@ fn churn_bound(plan: &FaultPlan, stats: &crate::inject::InjectStats, day: u32, p
     }
 }
 
-/// Check every invariant against a finished campaign.
+/// Check every invariant against a finished campaign: both collection
+/// paths complete within budget; each polled snapshot is
+/// self-consistent, agrees with its summary and conserves the routes
+/// and communities of the same day's fault-free reference poll;
+/// sanitation is idempotent and removes truncated days; retries stay
+/// within budget; the streamed end-of-day snapshot is byte-identical to
+/// the reference and the incremental report to its batch recompute;
+/// and update conservation holds (every minted frame applied exactly
+/// once — replays deduped, nothing lost).
 ///
-/// `baseline` is the same `(seed, cfg)` campaign run with the empty
-/// plan — the conservation reference. Returns all violations found (and
-/// counts them on the `chaos.oracle_violations` metric).
+/// Returns all violations found (and counts them on the
+/// `chaos.oracle_violations` metric).
 pub fn check_campaign(
     outcome: &CampaignOutcome,
-    baseline: &CampaignOutcome,
     plan: &FaultPlan,
     cfg: &CampaignConfig,
 ) -> Vec<Violation> {
     let mut violations = Vec::new();
 
-    // 1. snapshot self-consistency + completeness
+    // 1. every day completes within budget, on both paths
     for rec in &outcome.days {
-        if rec.result.is_err() {
-            violations.push(Violation::CompletenessViolated {
-                day: rec.day,
-                detail: format!("day lost entirely: {:?}", rec.result),
-            });
+        for (result, what) in [
+            (&rec.snapshot, "day lost entirely"),
+            (&rec.drain, "stream drain failed"),
+            (&rec.reference, "reference collection failed"),
+        ] {
+            if let Err(e) = result {
+                violations.push(Violation::CompletenessViolated {
+                    day: rec.day,
+                    detail: format!("{what}: {e:?}"),
+                });
+            }
         }
         if rec.virtual_ms > DAY_BUDGET_MS {
             violations.push(Violation::DayOverran {
@@ -259,8 +272,27 @@ pub fn check_campaign(
                 virtual_ms: rec.virtual_ms,
             });
         }
+        if rec.reference.is_ok() && rec.streamed_hash != rec.reference_hash {
+            violations.push(Violation::StreamDivergence {
+                day: rec.day,
+                streamed: rec.streamed_hash,
+                reference: rec.reference_hash,
+            });
+        }
+        // the incremental report must match the batch recompute of the
+        // very same streamed state — unconditionally: even when faults
+        // corrupted the store, the engine tracks the store, so any
+        // disagreement here is the engine's own algebra going wrong
+        if rec.incremental_hash != rec.batch_hash {
+            violations.push(Violation::IncrementalDivergence {
+                day: rec.day,
+                incremental: rec.incremental_hash,
+                batch: rec.batch_hash,
+            });
+        }
     }
 
+    // 2. polled snapshot self-consistency
     for snap in outcome.store.iter() {
         let day = snap.day;
         if snap.partial == snap.failed_peers.is_empty() {
@@ -292,7 +324,7 @@ pub fn check_campaign(
             });
         }
 
-        // 2. pagination integrity: no duplicated (peer, prefix)
+        // 3. pagination integrity: no duplicated (peer, prefix)
         let mut seen = std::collections::BTreeSet::new();
         for (peer, route) in &snap.routes {
             if !seen.insert((*peer, route.prefix)) {
@@ -304,7 +336,7 @@ pub fn check_campaign(
             }
         }
 
-        // 3. snapshot vs summary: the collector must deliver exactly what
+        // 4. snapshot vs summary: the collector must deliver exactly what
         // the server declared (modulo explained faults). A truncated
         // day's raw snapshot legitimately disagrees — but only while
         // sanitation removes it; a truncated day that *survives* into
@@ -343,8 +375,8 @@ pub fn check_campaign(
             }
         }
 
-        // 4. conservation vs the fault-free baseline
-        if let Some(base) = baseline.store.iter().find(|b| b.day == day) {
+        // 5. conservation vs the same day's fault-free reference poll
+        if let Some(base) = outcome.reference.get(snap.ixp, snap.afi, day) {
             if !absorbed {
                 let counts = per_peer_counts(snap);
                 let base_counts = per_peer_counts(base);
@@ -359,7 +391,7 @@ pub fn check_campaign(
                         violations.push(Violation::ConservationBroken {
                             day,
                             detail: format!(
-                                "AS{}: {got} routes vs baseline {base_count} (churn bound {churn})",
+                                "AS{}: {got} routes vs reference {base_count} (churn bound {churn})",
                                 peer.0
                             ),
                         });
@@ -386,7 +418,7 @@ pub fn check_campaign(
                     violations.push(Violation::ConservationBroken {
                         day,
                         detail: format!(
-                            "community instances {got_comm} vs baseline {base_comm} (slack {slack})"
+                            "community instances {got_comm} vs reference {base_comm} (slack {slack})"
                         ),
                     });
                 }
@@ -394,7 +426,7 @@ pub fn check_campaign(
         }
     }
 
-    // 5. sanitation: idempotent, and truncated interior days must go
+    // 6. sanitation: idempotent, and truncated interior days must go
     let mut twice = outcome.sanitized.clone();
     let second = looking_glass::sanitize::sanitize_store(
         &mut twice,
@@ -417,7 +449,8 @@ pub fn check_campaign(
         }
     }
 
-    // 6. retries stay within configuration
+    // 7. retries stay within configuration, on both paths (the drain
+    // polls through the same transport under the same budget)
     let per_page = u64::from(cfg.collector.max_retries) + 1;
     let bound = if cfg.collector.validate_pages {
         // echo-mismatch retries can interleave with transient retries
@@ -432,70 +465,7 @@ pub fn check_campaign(
         });
     }
 
-    if !violations.is_empty() {
-        let m = crate::metrics::handles();
-        for _ in &violations {
-            m.oracle_violations.inc();
-        }
-    }
-    violations
-}
-
-/// Check the stream invariants against a finished dual campaign: both
-/// collection paths complete within budget, the streamed end-of-day
-/// snapshot is byte-identical to the polled reference every day, and
-/// update conservation holds (every minted frame applied exactly once —
-/// replays deduped, nothing lost).
-pub fn check_stream_campaign(
-    outcome: &crate::campaign::StreamCampaignOutcome,
-    _plan: &FaultPlan,
-    _cfg: &CampaignConfig,
-) -> Vec<Violation> {
-    let mut violations = Vec::new();
-    for rec in &outcome.days {
-        if let Err(e) = &rec.snapshot {
-            violations.push(Violation::CompletenessViolated {
-                day: rec.day,
-                detail: format!("polled day lost entirely: {e:?}"),
-            });
-        }
-        if let Err(e) = &rec.drain {
-            violations.push(Violation::CompletenessViolated {
-                day: rec.day,
-                detail: format!("stream drain failed: {e:?}"),
-            });
-        }
-        if let Err(e) = &rec.reference {
-            violations.push(Violation::CompletenessViolated {
-                day: rec.day,
-                detail: format!("reference collection failed: {e:?}"),
-            });
-        }
-        if rec.virtual_ms > DAY_BUDGET_MS {
-            violations.push(Violation::DayOverran {
-                day: rec.day,
-                virtual_ms: rec.virtual_ms,
-            });
-        }
-        if rec.reference.is_ok() && rec.streamed_hash != rec.reference_hash {
-            violations.push(Violation::StreamDivergence {
-                day: rec.day,
-                streamed: rec.streamed_hash,
-                reference: rec.reference_hash,
-            });
-        }
-        // the incremental report must match the batch recompute of the
-        // very same streamed state — unconditionally: even when faults
-        // corrupted the store, the engine tracks the store, so any
-        // disagreement here is the engine's own algebra going wrong
-        if rec.incremental_hash != rec.batch_hash {
-            violations.push(Violation::IncrementalDivergence {
-                day: rec.day,
-                incremental: rec.incremental_hash,
-                batch: rec.batch_hash,
-            });
-        }
-    }
+    // 8. update conservation on the stream path
     let applied = outcome.stream_stats.applied;
     let minted = outcome.frames_minted;
     if applied != minted {
@@ -509,6 +479,7 @@ pub fn check_stream_campaign(
             underflows: outcome.incremental_underflows,
         });
     }
+
     if !violations.is_empty() {
         let m = crate::metrics::handles();
         for _ in &violations {

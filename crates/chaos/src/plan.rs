@@ -137,7 +137,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The empty plan: a fault-free baseline campaign.
+    /// The empty plan: a fault-free campaign.
     pub fn none() -> Self {
         FaultPlan::default()
     }

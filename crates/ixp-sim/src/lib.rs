@@ -36,8 +36,7 @@ pub mod prelude {
     pub use crate::profile::{profile, IxpProfile};
     pub use crate::scenario::{run, Scenario, ScenarioConfig};
     pub use crate::timeline::{
-        anchors, generate_all, generate_series, generate_series_with_hook, CollectionMode,
-        DayContext, DayHook, Series, TimelineConfig,
+        anchors, generate_all, generate_series, CollectionMode, Series, TimelineConfig,
     };
     pub use crate::universe::{avoid_weights, famous_at_rs, only_targets};
     pub use crate::world::{build_ixp, build_world, IxpWorld, PrefixAllocator, WorldConfig};

@@ -17,13 +17,10 @@ use looking_glass::sanitize::{detect_bad_days, SanitizeConfig, SeriesPoint};
 /// Collection window length: 19 Jul – 4 Oct 2021.
 pub const DAYS: u32 = 84;
 
-/// Which collection path is driving a generated timeline: the paper's
-/// periodic end-of-day snapshot polls, or the BMP-style monitoring
-/// stream (`crates/stream`) drained incrementally through the day.
-///
-/// Day hooks observe this so cross-cutting per-day logic — the chaos
-/// day-budget oracle above all — applies to both paths without
-/// special-casing which collector produced the day.
+/// Which collection path a scenario runs
+/// ([`crate::scenario::ScenarioConfig::mode`]): the paper's periodic
+/// end-of-day snapshot polls, or the BMP-style monitoring stream
+/// (`crates/stream`) drained incrementally through the day.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CollectionMode {
     /// Periodic snapshot polls (the paper's §3 method).
@@ -158,10 +155,6 @@ pub struct TimelineConfig {
     /// Per-day probability of a collection outage (a sanitizable valley).
     /// The paper removed 13.5% of its snapshots.
     pub outage_rate: f64,
-    /// The collection path this timeline is driving. Purely
-    /// observational: the generated points are identical either way
-    /// (that is the equivalence contract), but every [`DayHook`] sees it.
-    pub mode: CollectionMode,
 }
 
 impl Default for TimelineConfig {
@@ -170,7 +163,6 @@ impl Default for TimelineConfig {
             seed: 0x1C0FFEE,
             days: DAYS,
             outage_rate: 0.135,
-            mode: CollectionMode::Snapshot,
         }
     }
 }
@@ -221,37 +213,8 @@ impl Series {
     }
 }
 
-/// What a [`DayHook`] observes for one generated day.
-#[derive(Debug, Clone, Copy)]
-pub struct DayContext {
-    /// Day index within the timeline.
-    pub day: u32,
-    /// Whether this generator injected a collection outage on the day.
-    pub outage: bool,
-    /// The collection path driving the timeline ([`TimelineConfig::mode`]).
-    pub mode: CollectionMode,
-}
-
-/// A per-day observer/mutator for timeline generation: called once per
-/// day after the point is generated (and any outage applied), with the
-/// day's [`DayContext`] and the mutable point. The context carries the
-/// [`CollectionMode`], so hooks — the chaos day-budget oracle, fault
-/// superimposition (peer flaps, RIB churn) — apply to the snapshot and
-/// stream paths alike instead of assuming snapshot polls.
-pub type DayHook<'a> = &'a mut dyn FnMut(DayContext, &mut SeriesPoint);
-
 /// Generate the daily series for one (IXP, family).
 pub fn generate_series(ixp: IxpId, afi: Afi, config: &TimelineConfig) -> Series {
-    generate_series_with_hook(ixp, afi, config, &mut |_, _| {})
-}
-
-/// [`generate_series`] with a [`DayHook`] invoked on every generated day.
-pub fn generate_series_with_hook(
-    ixp: IxpId,
-    afi: Afi,
-    config: &TimelineConfig,
-    hook: DayHook<'_>,
-) -> Series {
     let a = anchors(ixp, afi);
     let mut rng =
         StdRng::seed_from_u64(config.seed ^ ((ixp as u64) << 8) ^ ((afi as u64) << 4) ^ 0xA5A5);
@@ -285,7 +248,6 @@ pub fn generate_series_with_hook(
         };
         // a collection outage loses 30–65% of the data for the day, and
         // never on the final day (the headline snapshot must be clean)
-        let mut outage = false;
         if day + 1 < config.days && day > 0 && rng.random::<f64>() < config.outage_rate {
             let keep = 0.35 + rng.random::<f64>() * 0.35;
             p.members = (p.members as f64 * keep) as usize;
@@ -294,16 +256,7 @@ pub fn generate_series_with_hook(
             p.communities = (p.communities as f64 * keep) as usize;
             outage_counter.inc();
             injected.push(day);
-            outage = true;
         }
-        hook(
-            DayContext {
-                day,
-                outage,
-                mode: config.mode,
-            },
-            &mut p,
-        );
         points_counter.inc();
         points.push(p);
     }
@@ -409,65 +362,6 @@ mod tests {
         let diff = (hi - lo) / lo;
         // paper: 14.40% for IX.br-SP-v4 routes
         assert!((0.08..0.22).contains(&diff), "diff {diff:.3}");
-    }
-
-    #[test]
-    fn day_hook_sees_every_day_and_can_mutate() {
-        let mut seen = Vec::new();
-        let s = generate_series_with_hook(
-            IxpId::Bcix,
-            Afi::Ipv4,
-            &TimelineConfig::default(),
-            &mut |ctx, p| {
-                seen.push((ctx.day, ctx.outage));
-                if ctx.day == 3 {
-                    p.members += 1000;
-                }
-            },
-        );
-        assert_eq!(seen.len(), 84);
-        assert!(s.points[3].members >= 1000);
-        let hook_outages: Vec<u32> = seen.iter().filter(|(_, o)| *o).map(|(d, _)| *d).collect();
-        assert_eq!(hook_outages, s.injected_outages);
-    }
-
-    #[test]
-    fn day_hook_observes_the_collection_mode() {
-        for mode in [CollectionMode::Snapshot, CollectionMode::Stream] {
-            let cfg = TimelineConfig {
-                mode,
-                ..TimelineConfig::default()
-            };
-            let mut modes = Vec::new();
-            generate_series_with_hook(IxpId::Netnod, Afi::Ipv6, &cfg, &mut |ctx, _| {
-                modes.push(ctx.mode);
-            });
-            assert_eq!(modes.len(), 84);
-            assert!(modes.iter().all(|&m| m == mode));
-        }
-    }
-
-    #[test]
-    fn mode_does_not_perturb_the_generated_points() {
-        // the equivalence contract starts here: the ground-truth series
-        // is identical whichever collector the timeline is driving
-        let snap = generate_series(IxpId::Linx, Afi::Ipv4, &TimelineConfig::default());
-        let stream = generate_series(
-            IxpId::Linx,
-            Afi::Ipv4,
-            &TimelineConfig {
-                mode: CollectionMode::Stream,
-                ..TimelineConfig::default()
-            },
-        );
-        assert_eq!(snap.points.len(), stream.points.len());
-        for (a, b) in snap.points.iter().zip(&stream.points) {
-            assert_eq!(a.day, b.day);
-            assert_eq!(a.members, b.members);
-            assert_eq!(a.routes, b.routes);
-            assert_eq!(a.communities, b.communities);
-        }
-        assert_eq!(snap.injected_outages, stream.injected_outages);
     }
 
     #[test]

@@ -35,6 +35,70 @@ impl LgTransport for &crate::server::LgServer {
     }
 }
 
+/// Request pacing and the transient-failure retry budget: the one
+/// request discipline the snapshot [`Collector`] and the stream
+/// collector (`crates/stream`) share.
+#[derive(Debug, Clone, Copy)]
+pub struct RetryPolicy {
+    /// Milliseconds waited before every attempt (pacing).
+    pub interval_ms: u64,
+    /// Retries after the first attempt.
+    pub max_retries: u32,
+    /// Milliseconds waited after a transient failure.
+    pub backoff_ms: u64,
+}
+
+/// One step of [`request_with_retry`], reported to the caller so it can
+/// keep its own request and failure counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Attempt {
+    /// A request went out.
+    Sent,
+    /// It failed transiently (rate limit, server error, transport).
+    Failed,
+}
+
+/// Issue `req` through `transport` at most `1 + max_retries` times:
+/// pace before each attempt, back off after each transient failure
+/// (`RateLimited`, `ServerError`, `Transport`), and return any other
+/// error at once — retrying an unknown peer or a page out of range
+/// cannot help. Every wait goes through `clock`.
+pub fn request_with_retry<T: LgTransport>(
+    transport: &mut T,
+    req: &LgRequest,
+    clock: &dyn Clock,
+    policy: RetryPolicy,
+    mut tally: impl FnMut(Attempt),
+) -> Result<LgResponse, LgError> {
+    let mut last_err = LgError::ServerError;
+    for _attempt in 0..=policy.max_retries {
+        clock.sleep_ms(policy.interval_ms);
+        tally(Attempt::Sent);
+        match transport.request(req, clock.now_ms()) {
+            Ok(resp) => return Ok(resp),
+            Err(e @ (LgError::RateLimited | LgError::ServerError | LgError::Transport(_))) => {
+                tally(Attempt::Failed);
+                clock.sleep_ms(policy.backoff_ms);
+                last_err = e;
+            }
+            Err(e) => return Err(e),
+        }
+    }
+    Err(last_err)
+}
+
+/// Run `f` on the clock a collector paces its transport by, starting at
+/// `start_ms`: a [`VirtualClock`] for in-process transports (no wait
+/// ever blocks), a [`SystemClock`] when the far side paces against real
+/// time (`real_time`, from [`LgTransport::is_real_time`]; TCP).
+pub fn with_pacing_clock<R>(real_time: bool, start_ms: u64, f: impl FnOnce(&dyn Clock) -> R) -> R {
+    if real_time {
+        f(&SystemClock::starting_at(start_ms))
+    } else {
+        f(&VirtualClock::new(start_ms))
+    }
+}
+
 /// Collector pacing and retry configuration.
 #[derive(Debug, Clone)]
 pub struct CollectorConfig {
@@ -91,9 +155,7 @@ impl Collector {
     /// Collect one (IXP, family, day) snapshot through `transport`,
     /// starting the simulated clock at `start_ms`.
     ///
-    /// Picks the clock from the transport: a [`VirtualClock`] for
-    /// in-process transports (no wait ever blocks), a [`SystemClock`]
-    /// when the far side paces against real time (TCP).
+    /// Picks the clock from the transport (see [`with_pacing_clock`]).
     pub fn collect<T: LgTransport>(
         &self,
         transport: &mut T,
@@ -101,11 +163,9 @@ impl Collector {
         day: u32,
         start_ms: u64,
     ) -> Result<CollectionReport, LgError> {
-        if transport.is_real_time() {
-            self.collect_with_clock(transport, afi, day, &SystemClock::starting_at(start_ms))
-        } else {
-            self.collect_with_clock(transport, afi, day, &VirtualClock::new(start_ms))
-        }
+        with_pacing_clock(transport.is_real_time(), start_ms, |clock| {
+            self.collect_with_clock(transport, afi, day, clock)
+        })
     }
 
     /// Collect one snapshot, with every wait (pacing, retry backoff)
@@ -124,7 +184,7 @@ impl Collector {
         let mut failures = 0u64;
 
         // 1. the summary file
-        let summary = self.request_with_retry(
+        let summary = self.send(
             transport,
             &LgRequest::Summary { afi },
             clock,
@@ -188,7 +248,7 @@ impl Collector {
         let clock = VirtualClock::new(start_ms);
         let mut requests = 0;
         let mut failures = 0;
-        let resp = self.request_with_retry(
+        let resp = self.send(
             transport,
             &LgRequest::RsConfigText,
             &clock,
@@ -215,7 +275,7 @@ impl Collector {
         let mut page = 0usize;
         let mut echo_retries = 0u32;
         loop {
-            let resp = self.request_with_retry(
+            let resp = self.send(
                 transport,
                 &LgRequest::Routes {
                     peer,
@@ -260,7 +320,9 @@ impl Collector {
         }
     }
 
-    fn request_with_retry<T: LgTransport>(
+    /// [`request_with_retry`] under this collector's policy, counting
+    /// attempts into `requests`/`failures` and the `lg.client.*` metrics.
+    fn send<T: LgTransport>(
         &self,
         transport: &mut T,
         req: &LgRequest,
@@ -268,24 +330,22 @@ impl Collector {
         requests: &mut u64,
         failures: &mut u64,
     ) -> Result<LgResponse, LgError> {
-        let mut last_err = LgError::ServerError;
-        for _attempt in 0..=self.config.max_retries {
-            clock.sleep_ms(self.config.request_interval_ms);
-            *requests += 1;
-            let m = crate::metrics::handles();
-            m.client_requests.inc();
-            match transport.request(req, clock.now_ms()) {
-                Ok(resp) => return Ok(resp),
-                Err(e @ (LgError::RateLimited | LgError::ServerError | LgError::Transport(_))) => {
-                    *failures += 1;
-                    m.client_retries.inc();
-                    clock.sleep_ms(self.config.retry_backoff_ms);
-                    last_err = e;
-                }
-                Err(e) => return Err(e), // UnknownPeer / PageOutOfRange: no point retrying
+        let policy = RetryPolicy {
+            interval_ms: self.config.request_interval_ms,
+            max_retries: self.config.max_retries,
+            backoff_ms: self.config.retry_backoff_ms,
+        };
+        let m = crate::metrics::handles();
+        request_with_retry(transport, req, clock, policy, |attempt| match attempt {
+            Attempt::Sent => {
+                *requests += 1;
+                m.client_requests.inc();
             }
-        }
-        Err(last_err)
+            Attempt::Failed => {
+                *failures += 1;
+                m.client_retries.inc();
+            }
+        })
     }
 }
 

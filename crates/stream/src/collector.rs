@@ -1,17 +1,20 @@
 //! The streaming collector: polls a router's monitoring feed through any
 //! [`LgTransport`] until quiescent, maintaining a [`RouterState`].
 //!
-//! The poll loop mirrors the snapshot collector's discipline — paced
-//! requests, bounded retries with backoff, every wait routed through the
-//! [`Clock`] trait — so the same chaos transports and virtual-clock
-//! campaigns drive both paths. `TraceContext` propagation comes with the
-//! transport: a poll is an ordinary [`LgRequest`], so the TCP framing
-//! wraps it in a `TracedRequest` and the server adopts the caller's span
-//! exactly as it does for summary/routes requests.
+//! Every poll goes through the snapshot collector's own request loop
+//! ([`request_with_retry`]: paced requests, bounded retries with
+//! backoff, every wait routed through the [`Clock`] trait), so the same
+//! chaos transports and virtual-clock campaigns drive both paths.
+//! `TraceContext` propagation comes with the transport: a poll is an
+//! ordinary [`LgRequest`], so the TCP framing wraps it in a
+//! `TracedRequest` and the server adopts the caller's span exactly as it
+//! does for summary/routes requests.
 
 use looking_glass::api::{LgError, LgRequest, LgResponse};
-use looking_glass::client::LgTransport;
-use looking_glass::clock::{Clock, SystemClock, VirtualClock};
+use looking_glass::client::{
+    request_with_retry, with_pacing_clock, Attempt, LgTransport, RetryPolicy,
+};
+use looking_glass::clock::Clock;
 
 use crate::metrics;
 use crate::state::RouterState;
@@ -73,18 +76,16 @@ impl StreamCollector {
 
     /// Drain `state`'s feed through `transport` until the server reports
     /// an empty backlog. Picks the clock from the transport, like the
-    /// snapshot collector does.
+    /// snapshot collector does ([`with_pacing_clock`]).
     pub fn drain<T: LgTransport>(
         &self,
         state: &mut RouterState,
         transport: &mut T,
         start_ms: u64,
     ) -> Result<DrainReport, LgError> {
-        if transport.is_real_time() {
-            self.drain_with_clock(state, transport, &SystemClock::starting_at(start_ms))
-        } else {
-            self.drain_with_clock(state, transport, &VirtualClock::new(start_ms))
-        }
+        with_pacing_clock(transport.is_real_time(), start_ms, |clock| {
+            self.drain_with_clock(state, transport, clock)
+        })
     }
 
     /// Drain the feed with every wait routed through `clock`.
@@ -117,7 +118,7 @@ impl StreamCollector {
                 session: state.session(),
                 after: state.cursor(),
             };
-            let resp = self.request_with_retry(transport, &req, clock, &mut report)?;
+            let resp = self.poll(transport, &req, clock, &mut report)?;
             let LgResponse::StreamEvents {
                 session,
                 frames,
@@ -155,29 +156,27 @@ impl StreamCollector {
         Ok(report)
     }
 
-    fn request_with_retry<T: LgTransport>(
+    /// [`request_with_retry`] under this collector's policy, counting
+    /// attempts into `report` and the `stream.polls` metric.
+    fn poll<T: LgTransport>(
         &self,
         transport: &mut T,
         req: &LgRequest,
         clock: &dyn Clock,
         report: &mut DrainReport,
     ) -> Result<LgResponse, LgError> {
+        let policy = RetryPolicy {
+            interval_ms: self.config.poll_interval_ms,
+            max_retries: self.config.max_retries,
+            backoff_ms: self.config.retry_backoff_ms,
+        };
         let m = metrics::handles();
-        let mut last_err = LgError::ServerError;
-        for _attempt in 0..=self.config.max_retries {
-            clock.sleep_ms(self.config.poll_interval_ms);
-            report.polls += 1;
-            m.polls.inc();
-            match transport.request(req, clock.now_ms()) {
-                Ok(resp) => return Ok(resp),
-                Err(e @ (LgError::RateLimited | LgError::ServerError | LgError::Transport(_))) => {
-                    report.failures += 1;
-                    clock.sleep_ms(self.config.retry_backoff_ms);
-                    last_err = e;
-                }
-                Err(e) => return Err(e),
+        request_with_retry(transport, req, clock, policy, |attempt| match attempt {
+            Attempt::Sent => {
+                report.polls += 1;
+                m.polls.inc();
             }
-        }
-        Err(last_err)
+            Attempt::Failed => report.failures += 1,
+        })
     }
 }

@@ -11,7 +11,7 @@
 //! peer-down events synthesize withdraws for the departed peer's table.
 //!
 //! The headline contract, proven by `tests/stream_equivalence.rs` and the
-//! chaos stream corpus: **after any simulated day, the streamed
+//! chaos corpus: **after any simulated day, the streamed
 //! end-of-day state is byte-identical (serialized dataset hash) to the
 //! snapshot the polled collector assembles** — which makes the whole
 //! snapshot-era oracle apparatus (sanitation, conservation, determinism)

@@ -34,7 +34,9 @@ PAR_THREADS=4 cargo test -q --test par_equivalence
 # test runs above already cover a reduced corpus; this stage pins the
 # release binary to the fixed 32-seed corpus (override with CHAOS_SEEDS=N)
 # and runs it on the multithreaded build (PAR_THREADS=4) so the corpus
-# exercises the parallel fan-out too. On failure the suite prints a
+# exercises the parallel fan-out too. Each seed is one campaign — every
+# day a chaotic poll and a chaotic stream drain, checked against that
+# day's fault-free reference poll — plus its determinism rerun. On failure the suite prints a
 # CHAOS_REPLAY='{"seed":...,"plan":...}' command that replays the exact
 # failing (seed, fault plan) pair. The same invocation runs the crate's
 # other test targets in release too, among them the JSON differential
@@ -54,30 +56,31 @@ if [[ "$fast" -eq 0 ]]; then
     cargo test -q --release -p route-server -p bgp-wire
 fi
 
-# Streamed/snapshot and incremental/batch equivalence oracles, on the
-# release build (the two 84-day dual campaigns are the heaviest tests).
-# Stream: the BMP-style feed's end-of-day state must fingerprint
-# byte-identically to the fault-free polled reference on every day,
-# under a seed-derived fault plan. Incremental: both paths run the same
-# aggregation core (analysis::core), so the golden checks state, not
-# derivations: the aggregates *maintained* per RibEvent (apply + retract
-# + merge, O(churn)) must serialize byte-identical to the ones *folded
-# from scratch* over the same end-of-day snapshot, with zero counter
-# underflows. Both tests pin PAR_THREADS=1 and 4 themselves; divergence
-# dumps land under target/stream-divergence/ and
-# target/incremental-divergence/. The release `repro stream` drive then
-# re-checks both per-day verdicts end to end and prints the stream.*
-# metrics and the incremental-vs-batch timings (exit nonzero on any
-# oracle violation or diverged day). What the incremental path costs is
-# measured by the benchmark package's longitudinal_stream workload, not
-# here. The chaos corpus stage above also runs the stream dual campaign
-# per seed, so the 32-seed sweep covers this path.
+# The 84-day campaign goldens, on the release build (the heaviest
+# tests): each runs one chaotic campaign over the paper's window, under
+# a seed-derived fault plan (stream_equivalence seed 0x57E4,
+# incremental_equivalence seed 0x1C4E). Stream: the BMP-style feed's end-of-day state must
+# fingerprint byte-identically to the fault-free polled reference on
+# every day. Incremental: both paths run the same aggregation core
+# (analysis::core), so the golden checks state, not derivations: the
+# aggregates *maintained* per RibEvent (apply + retract + merge,
+# O(churn)) must serialize byte-identical to the ones *folded from
+# scratch* over the same end-of-day snapshot, with zero counter
+# underflows. Every other campaign oracle must stay silent too. Each test
+# pins PAR_THREADS=1 and 4 itself; divergence dumps land under
+# target/stream-divergence/ and target/incremental-divergence/. The
+# release `repro stream` drive then re-checks the per-day verdicts end
+# to end and prints the stream.* metrics and the incremental-vs-batch
+# timings (exit nonzero on any oracle violation). What the incremental
+# path costs is measured by the benchmark package's longitudinal_stream
+# workload, not here. The chaos corpus stage above runs the same
+# campaign per seed, so the 32-seed sweep covers this path.
 if [[ "$fast" -eq 0 ]]; then
-    echo "==> stream equivalence (84-day chaotic dual campaign, release)"
+    echo "==> campaign golden (84-day chaotic campaign: stream + incremental equivalence, release)"
     cargo test -q --release --test stream_equivalence
-    echo "==> incremental equivalence (84-day golden, release)"
+    echo "==> incremental golden (84-day chaotic campaign, second seed, release)"
     cargo test -q --release --test incremental_equivalence
-    echo "==> repro stream (dual campaign, stream.* metrics, incremental verdicts)"
+    echo "==> repro stream (one campaign, stream.* metrics, incremental verdicts)"
     STREAM_DAYS=12 target/release/repro stream >/dev/null
 fi
 

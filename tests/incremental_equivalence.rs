@@ -1,14 +1,16 @@
-//! The incremental/batch report equivalence oracle (golden).
+//! The incremental/batch report equivalence oracle (golden), on a
+//! second seed.
 //!
-//! Runs the chaos dual campaign for the paper's full 84-day window under
-//! a seed-derived fault plan. Every day the campaign finalizes the
-//! incremental engine's report (updated per applied `RibEvent`, O(churn))
-//! and recomputes the same report from scratch over the streamed
-//! end-of-day snapshot (O(world)); the two must serialize byte-identical
-//! — every float, sort and tie-break — at `PAR_THREADS=1` and `4`. On
-//! divergence both serialized reports land under
-//! `target/incremental-divergence/` and the message shows their first
-//! differing bytes, so the failure is diffable rather than just red.
+//! Runs the chaos campaign for the paper's full 84-day window under a
+//! seed-derived fault plan other than the one `stream_equivalence`
+//! pins. Every day the campaign finalizes the incremental engine's
+//! report (updated per applied `RibEvent`, O(churn)) and recomputes the
+//! same report from scratch over the streamed end-of-day snapshot
+//! (O(world)); the two must serialize byte-identical — every float,
+//! sort and tie-break — at `PAR_THREADS=1` and `4`. On divergence both
+//! serialized reports land under `target/incremental-divergence/` and
+//! the message shows their first differing bytes, so the failure is
+//! diffable rather than just red.
 
 mod common;
 
@@ -16,16 +18,15 @@ use chaos::prelude::*;
 
 const SEED: u64 = 0x1C4E;
 
-/// One dual campaign over the full collection window, reduced to what
-/// the oracle compares.
-fn campaign() -> (Vec<Violation>, StreamCampaignOutcome) {
+/// One campaign over the full collection window and its verdict.
+fn campaign() -> (Vec<Violation>, CampaignOutcome) {
     let cfg = CampaignConfig {
         days: 84,
         ..CampaignConfig::default()
     };
     let plan = FaultPlan::from_seed(SEED, cfg.days);
-    let outcome = run_stream_campaign(SEED, &plan, &cfg);
-    let violations = check_stream_campaign(&outcome, &plan, &cfg);
+    let outcome = run_campaign(SEED, &plan, &cfg);
+    let violations = check_campaign(&outcome, &plan, &cfg);
     (violations, outcome)
 }
 
@@ -64,7 +65,7 @@ fn incremental_report_matches_batch_over_84_chaotic_days() {
         }
         assert!(
             violations.is_empty(),
-            "stream oracles fired at PAR_THREADS={threads} (seed={SEED}): {violations:?}"
+            "campaign oracles fired at PAR_THREADS={threads} (seed={SEED}): {violations:?}"
         );
         // the plan actually exercised the fault classes, and the engine
         // actually consumed deltas — not a vacuous pass

@@ -1,14 +1,24 @@
-//! The streamed/snapshot equivalence oracle (golden).
+//! The 84-day chaotic campaign golden: streamed/snapshot and
+//! incremental/batch equivalence in one run.
 //!
-//! Runs the chaos dual campaign — streamed collection and snapshot
-//! polls over the same faulty transport — for the paper's full 84-day
-//! window, under a seed-derived fault plan (drops, duplicates, garbage,
-//! truncated pages, rate-limit storms, peer flaps, RIB churn,
-//! monitoring-session resets, lost peer-down pages). On every day the
-//! streamed end-of-day state must fingerprint byte-identical to the
-//! fault-free polled reference, at `PAR_THREADS=1` and `4`, and the
-//! combined dataset hash must be thread-count invariant. On divergence
-//! both serialized variants land under `target/stream-divergence/` and
+//! Runs the chaos campaign — snapshot polls and the streamed feed over
+//! the same faulty transport, closed each day by a fault-free reference
+//! poll — for the paper's full 84-day window, under a seed-derived fault
+//! plan (drops, duplicates, garbage, truncated pages, rate-limit storms,
+//! peer flaps, RIB churn, monitoring-session resets, lost peer-down
+//! pages), at `PAR_THREADS=1` and `4`. On every day:
+//!
+//! - the streamed end-of-day state must fingerprint byte-identical to
+//!   the reference poll;
+//! - the incremental engine's report (updated per applied `RibEvent`,
+//!   O(churn)) must serialize byte-identical to the same report
+//!   recomputed from scratch over the streamed snapshot (O(world)) —
+//!   every float, sort and tie-break.
+//!
+//! Every campaign oracle must stay silent, and the dataset hash and the
+//! per-day report fingerprints must be thread-count invariant. On
+//! divergence both serialized variants land under
+//! `target/stream-divergence/` or `target/incremental-divergence/` and
 //! the message shows their first differing bytes, so the failure is
 //! diffable rather than just red.
 
@@ -19,16 +29,15 @@ use looking_glass::snapshot::SnapshotStore;
 
 const SEED: u64 = 0x57E4;
 
-/// One dual campaign over the full collection window, reduced to what
-/// the oracle compares.
-fn campaign() -> (Vec<Violation>, StreamCampaignOutcome) {
+/// One campaign over the full collection window and its verdict.
+fn campaign() -> (Vec<Violation>, CampaignOutcome) {
     let cfg = CampaignConfig {
         days: 84,
         ..CampaignConfig::default()
     };
     let plan = FaultPlan::from_seed(SEED, cfg.days);
-    let outcome = run_stream_campaign(SEED, &plan, &cfg);
-    let violations = check_stream_campaign(&outcome, &plan, &cfg);
+    let outcome = run_campaign(SEED, &plan, &cfg);
+    let violations = check_campaign(&outcome, &plan, &cfg);
     (violations, outcome)
 }
 
@@ -57,11 +66,11 @@ fn streamed_dataset_matches_snapshots_over_84_chaotic_days() {
     ] {
         assert_eq!(outcome.days.len(), 84);
         for rec in &outcome.days {
+            let day = rec.day;
             if rec.streamed_hash != rec.reference_hash {
                 panic!(
-                    "day {}: streamed state diverged from the polled reference \
+                    "day {day}: streamed state diverged from the polled reference \
                      at PAR_THREADS={threads}; replay (seed={SEED}); {}",
-                    rec.day,
                     common::dump_divergence(
                         "stream-divergence",
                         (
@@ -75,25 +84,59 @@ fn streamed_dataset_matches_snapshots_over_84_chaotic_days() {
                     )
                 );
             }
+            if rec.incremental_hash != rec.batch_hash {
+                let (inc, batch) = rec
+                    .report_divergence
+                    .clone()
+                    .unwrap_or_else(|| ("<missing>".into(), "<missing>".into()));
+                panic!(
+                    "day {day}: incremental report diverged from the batch recompute \
+                     at PAR_THREADS={threads}; replay (seed={SEED}); {}",
+                    common::dump_divergence(
+                        "incremental-divergence",
+                        (&format!("day{day}.incremental.threads{threads}"), &inc),
+                        (&format!("day{day}.batch.threads{threads}"), &batch),
+                    )
+                );
+            }
         }
         assert!(
             violations.is_empty(),
-            "stream oracles fired at PAR_THREADS={threads} (seed={SEED}): {violations:?}"
+            "campaign oracles fired at PAR_THREADS={threads} (seed={SEED}): {violations:?}"
         );
-        // the plan actually exercised the stream fault classes
+        // the plan actually exercised the fault classes, and the engine
+        // actually consumed deltas — not a vacuous pass
         assert!(
             outcome.stats.total_faults() > 0,
             "the 84-day plan injected nothing — not a chaotic run"
         );
+        assert!(
+            outcome.incremental_deltas > 0,
+            "the incremental engine consumed no deltas — not wired up"
+        );
+        assert_eq!(
+            outcome.incremental_underflows, 0,
+            "a retract without a matching apply at PAR_THREADS={threads} (seed={SEED})"
+        );
     }
 
-    // and the whole dual dataset is bit-identical across pool sizes
+    // the per-day report fingerprints are bit-identical across pool
+    // sizes (the ordered par join keeps finalization deterministic)
+    for (a, b) in outcome_1.days.iter().zip(outcome_4.days.iter()) {
+        assert_eq!(
+            a.incremental_hash, b.incremental_hash,
+            "day {}: incremental report fingerprint varies with PAR_THREADS",
+            a.day
+        );
+    }
+
+    // and the whole dataset is bit-identical across pool sizes
     if outcome_1.dataset_hash != outcome_4.dataset_hash {
-        // the hash covers both datasets: streamed, then reference
-        let dataset =
-            |o: &StreamCampaignOutcome| store_json(&o.streamed) + &store_json(&o.reference);
+        let dataset = |o: &CampaignOutcome| {
+            store_json(&o.store) + &store_json(&o.streamed) + &store_json(&o.reference)
+        };
         panic!(
-            "dual-campaign dataset hash diverged between PAR_THREADS=1 and 4; {}",
+            "campaign dataset hash diverged between PAR_THREADS=1 and 4; {}",
             common::dump_divergence(
                 "stream-divergence",
                 ("dataset.threads1", &dataset(&outcome_1)),
