@@ -4,6 +4,13 @@
 //! `benchmark/` package, not here.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use bgp_model::prefix::Afi;
 use community_dict::dictionary::Dictionary;

@@ -250,6 +250,10 @@ fn mask_addr(addr: IpAddr, len: u8) -> IpAddr {
 
 /// The well-known IPv4 bogon prefixes (fullbogons excluded: we model the
 /// static Team-Cymru style list a route server configures).
+#[expect(
+    clippy::unwrap_used,
+    reason = "bogon tables: static well-known CIDR literals parsed once at first use; a typo fails every tier-1 test immediately"
+)]
 fn bogons_for(afi: Afi) -> &'static [Prefix] {
     use std::sync::OnceLock;
     static V4: OnceLock<Vec<Prefix>> = OnceLock::new();

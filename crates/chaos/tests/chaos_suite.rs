@@ -165,6 +165,10 @@ fn replay_from_env() {
 /// the reference poll, the batch recompute) far enough below the bound
 /// that only a leaked real sleep can cross it.
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the wall clock is what this test measures: it proves the campaign ran on the virtual clock"
+)]
 fn chaotic_campaign_runs_in_virtual_time() {
     let wall_start = std::time::Instant::now();
     let cfg = CampaignConfig {

@@ -79,6 +79,10 @@ pub struct SystemClock {
 
 impl SystemClock {
     /// A system clock whose `now_ms` starts at `offset_ms`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "SystemClock is the one sanctioned wall-clock source; everything else (chaos included) paces through the Clock trait"
+    )]
     pub fn starting_at(offset_ms: u64) -> Self {
         SystemClock {
             origin: std::time::Instant::now(),

@@ -4,6 +4,11 @@
 //! connection — the LG workload is a single paced collector connection
 //! (§3), not a high-fanout service.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "real-TCP transport is the boundary to wall-clock time (its deadline handling cannot flow through obs), its per-connection workers are I/O concurrency rather than data parallelism, and it carries the trace context across the wire"
+)]
+
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

@@ -72,6 +72,13 @@
 //! for isolated tests and benchmarks).
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 mod metrics;
 pub mod names;

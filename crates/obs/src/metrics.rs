@@ -191,6 +191,10 @@ impl Histogram {
     /// Start a timer that records into this histogram when dropped.
     /// This is the allocation-free hot path; [`Registry::span`] adds
     /// name lookup and optional event logging on top.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "obs is the instrumentation layer every clock read flows through"
+    )]
     #[inline]
     pub fn start(&self) -> HistogramTimer {
         HistogramTimer {
@@ -264,6 +268,10 @@ impl std::fmt::Debug for Registry {
 
 impl Registry {
     /// A live registry with its own instrument namespace.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "obs is the instrumentation layer every clock read flows through"
+    )]
     pub fn new() -> Self {
         Registry {
             inner: Some(Arc::new(Shared {
@@ -573,6 +581,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test shares handles across raw threads to prove they are Send + Sync"
+    )]
     fn handles_are_shared_across_threads() {
         let registry = Registry::new();
         let c = registry.counter("mt");

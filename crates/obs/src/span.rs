@@ -105,6 +105,10 @@ struct SpanInner {
 }
 
 impl Span {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "obs is the instrumentation layer every clock read flows through"
+    )]
     pub(crate) fn begin(registry: Registry, name: &'static str) -> Span {
         let Some(shared) = registry.shared() else {
             return Span { inner: None };

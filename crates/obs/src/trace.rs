@@ -643,6 +643,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this test drives the trace-context plumbing directly"
+    )]
     fn attach_task_rebases_and_restores() {
         let _flag = with_tracing_on();
         let r = Registry::new();
@@ -676,6 +680,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this test drives the trace-context plumbing directly"
+    )]
     fn detached_task_gets_deterministic_root() {
         let _flag = with_tracing_on();
         let r = Registry::new();
@@ -695,6 +703,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this test drives the trace-context plumbing directly"
+    )]
     fn wire_ctx_allocates_slots_and_adopt_parents_to_caller() {
         let _flag = with_tracing_on();
         let r = Registry::new();
@@ -784,6 +796,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this test drives the trace-context plumbing directly"
+    )]
     fn disabled_tracing_records_nothing_but_tracks_names() {
         let _flag = FLAG_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_enabled(false);

@@ -42,6 +42,13 @@
 //! skipped — without locks and without `unsafe`.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 use std::cell::Cell;
@@ -140,6 +147,10 @@ type Shard<R> = (u64, u64, Vec<(usize, R)>);
 /// called from inside a pool worker.
 ///
 /// Panics in `f` propagate to the caller (after all workers stop).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the pool is the sanctioned thread and trace-context site: its ordered join keeps artifacts deterministic, and every task reattaches to the captured parent span"
+)]
 pub fn map_indexed<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -379,6 +390,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test reads the submitting span's context to check what tasks parent to"
+    )]
     fn task_spans_parent_to_submitting_span() {
         // A span opened inside a worker task must parent to the span
         // active on the submitting thread, at slot base index << 32.

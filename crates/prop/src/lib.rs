@@ -32,6 +32,13 @@
 //! fresh choices: a seed names the same stream wherever it is used.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 use std::fmt;

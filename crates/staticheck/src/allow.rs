@@ -6,9 +6,9 @@
 //!
 //! ```toml
 //! [[allow]]
-//! code = "SC101"
-//! path = "crates/bgp-model/src/prefix.rs"
-//! reason = "static bogon tables; a typo fails every test"
+//! code = "SC111"
+//! path = "crates/par/src/lib.rs"
+//! reason = "the ordered join sorts results back by index"
 //! ```
 //!
 //! Keys: `code` (required), `path` (optional substring of the
@@ -206,12 +206,12 @@ mod tests {
     const SAMPLE: &str = r#"
 # staticheck allowlist
 [[allow]]
-code = "SC101"
+code = "SC107"
 path = "crates/bgp-model/src/prefix.rs"
 reason = "static tables"   # trailing comment
 
 [[allow]]
-code = "SC102"
+code = "SC112"
 path = "crates/looking-glass/src/transport.rs"
 location = ":40"
 reason = "real-time transport"
@@ -226,7 +226,7 @@ reason = "real-time transport"
         let a = Allowlist::parse(SAMPLE).unwrap();
         assert_eq!(a.entries.len(), 2);
         assert!(a
-            .waiver(&diag("SC101", "crates/bgp-model/src/prefix.rs:252"))
+            .waiver(&diag("SC107", "crates/bgp-model/src/prefix.rs:252"))
             .is_some());
         // wrong code
         assert!(a
@@ -234,20 +234,20 @@ reason = "real-time transport"
             .is_none());
         // wrong path
         assert!(a
-            .waiver(&diag("SC101", "crates/obs/src/lib.rs:1"))
+            .waiver(&diag("SC107", "crates/obs/src/lib.rs:1"))
             .is_none());
         // location substring must match too
         assert!(a
-            .waiver(&diag("SC102", "crates/looking-glass/src/transport.rs:40"))
+            .waiver(&diag("SC112", "crates/looking-glass/src/transport.rs:40"))
             .is_some());
         assert!(a
-            .waiver(&diag("SC102", "crates/looking-glass/src/transport.rs:99"))
+            .waiver(&diag("SC112", "crates/looking-glass/src/transport.rs:99"))
             .is_none());
     }
 
     #[test]
     fn missing_reason_is_rejected() {
-        let bad = "[[allow]]\ncode = \"SC101\"\n";
+        let bad = "[[allow]]\ncode = \"SC107\"\n";
         assert!(Allowlist::parse(bad).is_err());
     }
 
@@ -265,7 +265,7 @@ reason = "real-time transport"
 
     #[test]
     fn unknown_key_is_rejected() {
-        let bad = "[[allow]]\ncode = \"SC101\"\nreason = \"r\"\nfoo = \"bar\"\n";
+        let bad = "[[allow]]\ncode = \"SC107\"\nreason = \"r\"\nfoo = \"bar\"\n";
         assert!(Allowlist::parse(bad).is_err());
     }
 }

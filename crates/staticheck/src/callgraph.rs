@@ -3,7 +3,7 @@
 //! Built on [`crate::lexer`]: each file's token stream is walked once,
 //! recognizing `fn` items (through `mod`/`impl`/`trait` nesting, with
 //! `#[cfg(test)]` and `#[test]` regions dropped), recording per function
-//! its visibility, parameter types, call sites, and panic sites, plus
+//! its parameter types and call sites, plus
 //! per struct which fields hold `HashMap`/`HashSet` or an
 //! interior-mutability type (`RefCell`, `Mutex`, `Atomic*`, ...). The
 //! per-file symbol tables are then stitched into a [`CallGraph`] whose
@@ -38,8 +38,6 @@
 //! Reachability queries drive the dataflow lints:
 //! * *sink-reaching* — can this function reach serialized output,
 //!   digests, or metrics (SC107's interprocedural half, SC111's sinks);
-//! * *panic-reaching* — can a public entry point reach a panic site
-//!   (SC108), with the witness call chain;
 //! * *IM-/blocking-reaching* — can a par-task closure reach interior
 //!   mutability (SC109) or a blocking call (SC112).
 
@@ -61,15 +59,6 @@ pub struct CallSite {
     pub line: u32,
 }
 
-/// One panic site inside a function body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PanicSite {
-    /// What panics (`unwrap`, `expect`, `panic!`, ...).
-    pub what: String,
-    /// 1-based source line.
-    pub line: u32,
-}
-
 /// One parsed function, method, or closure literal.
 #[derive(Debug, Clone)]
 pub struct FnDef {
@@ -78,8 +67,6 @@ pub struct FnDef {
     pub name: String,
     /// 1-based line of the `fn` keyword (or the closure's first `|`).
     pub line: u32,
-    /// Unrestricted `pub` (not `pub(crate)` etc.).
-    pub is_pub: bool,
     /// `Some(TypeName)` when defined inside `impl TypeName` (or
     /// `impl Trait for TypeName`).
     pub self_type: Option<String>,
@@ -98,8 +85,6 @@ pub struct FnDef {
     /// Everything this body calls (nested closure regions excluded —
     /// those calls belong to the closure's own def).
     pub calls: Vec<CallSite>,
-    /// Panicking constructs in this body (SC101's needles, token-exact).
-    pub panics: Vec<PanicSite>,
     /// True for closure literals parsed as anonymous functions.
     pub is_closure: bool,
     /// For closures: the callee this literal is an argument of
@@ -333,7 +318,6 @@ impl Parser<'_> {
     /// Parse items in `[i, end)`; `self_type` is the enclosing impl's
     /// type, if any.
     fn items(&mut self, mut i: usize, end: usize, self_type: Option<&str>) {
-        let mut pending_pub = false;
         let mut pending_test = false;
         while i < end {
             let Some(t) = self.tok(i) else { break };
@@ -352,18 +336,8 @@ impl Parser<'_> {
                 continue;
             }
             match t.text.as_str() {
-                "pub" => {
-                    if self.is_punct(i + 1, '(') {
-                        // pub(crate) etc.: restricted, not public API
-                        i = self.skip_balanced(i + 1);
-                    } else {
-                        pending_pub = true;
-                        i += 1;
-                    }
-                }
                 "fn" => {
-                    i = self.function(i, pending_pub, pending_test, self_type);
-                    pending_pub = false;
+                    i = self.function(i, pending_test, self_type);
                     pending_test = false;
                 }
                 "mod" => {
@@ -378,7 +352,6 @@ impl Parser<'_> {
                         j += 1;
                     }
                     i = j;
-                    pending_pub = false;
                     pending_test = false;
                 }
                 "impl" | "trait" => {
@@ -411,12 +384,10 @@ impl Parser<'_> {
                         j = close;
                     }
                     i = j;
-                    pending_pub = false;
                     pending_test = false;
                 }
                 "struct" => {
                     i = self.structure(i);
-                    pending_pub = false;
                     pending_test = false;
                 }
                 "enum" | "union" => {
@@ -432,7 +403,6 @@ impl Parser<'_> {
                     } else {
                         j + 1
                     };
-                    pending_pub = false;
                     pending_test = false;
                 }
                 "macro_rules" => {
@@ -445,7 +415,6 @@ impl Parser<'_> {
                         j += 1;
                     }
                     i = self.skip_balanced(j);
-                    pending_pub = false;
                     pending_test = false;
                 }
                 "const" | "static" if self.is_ident(i + 1, "fn") => {
@@ -489,7 +458,6 @@ impl Parser<'_> {
                         }
                     }
                     i = j;
-                    pending_pub = false;
                     pending_test = false;
                 }
                 "thread_local" if self.is_punct(i + 1, '!') => {
@@ -516,7 +484,6 @@ impl Parser<'_> {
                         j = close;
                     }
                     i = j;
-                    pending_pub = false;
                     pending_test = false;
                 }
                 "use" | "const" | "type" | "extern" => {
@@ -534,7 +501,6 @@ impl Parser<'_> {
                         }
                     }
                     i = j;
-                    pending_pub = false;
                     pending_test = false;
                 }
                 _ => i += 1,
@@ -640,13 +606,7 @@ impl Parser<'_> {
 
     /// Parse a `fn` item starting at `i` (the `fn` keyword). Returns the
     /// index past the item.
-    fn function(
-        &mut self,
-        i: usize,
-        is_pub: bool,
-        in_test: bool,
-        self_type: Option<&str>,
-    ) -> usize {
+    fn function(&mut self, i: usize, in_test: bool, self_type: Option<&str>) -> usize {
         let line = self.tok(i).map(|t| t.line).unwrap_or(0);
         let Some(name) = self.ident_text(i + 1).map(str::to_string) else {
             // `fn(u32) -> u32` in type position
@@ -683,14 +643,12 @@ impl Parser<'_> {
                 self.syms.fns.push(FnDef {
                     name,
                     line,
-                    is_pub,
                     self_type: self_type.map(str::to_string),
                     body: (k, k),
                     params,
                     hash_params,
                     locals: Vec::new(),
                     calls: Vec::new(),
-                    panics: Vec::new(),
                     is_closure: false,
                     passed_to: None,
                     captures: Vec::new(),
@@ -709,14 +667,12 @@ impl Parser<'_> {
         let mut def = FnDef {
             name,
             line,
-            is_pub,
             self_type: self_type.map(str::to_string),
             body: (k, close - 1),
             params,
             hash_params,
             locals: Vec::new(),
             calls: Vec::new(),
-            panics: Vec::new(),
             is_closure: false,
             passed_to: None,
             captures: Vec::new(),
@@ -913,14 +869,12 @@ impl Parser<'_> {
         let mut c = FnDef {
             name: format!("{{closure@{line}}}"),
             line,
-            is_pub: false,
             self_type: None,
             body,
             params: params.clone(),
             hash_params: Vec::new(),
             locals: Vec::new(),
             calls: Vec::new(),
-            panics: Vec::new(),
             is_closure: true,
             passed_to: self.passed_to(back),
             captures: Vec::new(),
@@ -963,9 +917,9 @@ impl Parser<'_> {
         out.into_iter().collect()
     }
 
-    /// Scan a function body for calls, panic sites, `let`-bound locals,
-    /// nested items, and closure literals. Closure regions are skipped
-    /// here — their calls/panics belong to the closure's own [`FnDef`]
+    /// Scan a function body for calls, `let`-bound locals, nested
+    /// items, and closure literals. Closure regions are skipped here —
+    /// their calls belong to the closure's own [`FnDef`]
     /// (pushed into `closures`), kept reachable through the synthetic
     /// enclosing→closure edge [`CallGraph::build`] adds.
     fn scan_body(
@@ -981,7 +935,7 @@ impl Parser<'_> {
             let Some(t) = self.tok(j) else { break };
             // nested fn: its own FnDef, not part of this body's calls
             if t.is_ident("fn") && self.tok(j + 1).is_some_and(|n| n.kind == TokKind::Ident) {
-                j = self.function(j, false, false, None);
+                j = self.function(j, false, None);
                 continue;
             }
             // `let [mut] name =` / `for name in`: a local binding
@@ -1020,15 +974,8 @@ impl Parser<'_> {
                         || self.is_punct(j + 2, '[')
                         || self.is_punct(j + 2, '{'))
                 {
-                    let mac = format!("{}!", t.text);
-                    if matches!(t.text.as_str(), "panic" | "todo" | "unimplemented") {
-                        def.panics.push(PanicSite {
-                            what: mac.clone(),
-                            line: t.line,
-                        });
-                    }
                     def.calls.push(CallSite {
-                        callee: mac,
+                        callee: format!("{}!", t.text),
                         qualifier: None,
                         is_method: false,
                         line: t.line,
@@ -1039,12 +986,6 @@ impl Parser<'_> {
                 // plain or method call `name(..)`
                 if self.is_punct(j + 1, '(') {
                     let is_method = j > 0 && self.is_punct(j - 1, '.');
-                    if is_method && matches!(t.text.as_str(), "unwrap" | "expect") {
-                        def.panics.push(PanicSite {
-                            what: t.text.clone(),
-                            line: t.line,
-                        });
-                    }
                     let qualifier =
                         if j >= 3 && self.is_punct(j - 1, ':') && self.is_punct(j - 2, ':') {
                             self.ident_text(j - 3).map(str::to_string)
@@ -1077,8 +1018,6 @@ pub struct FnNode {
     pub rel: String,
     /// Line of the `fn` keyword.
     pub line: u32,
-    /// Unrestricted `pub`.
-    pub is_pub: bool,
     /// Resolved callee node indices (deduped, stoplist applied).
     pub callees: Vec<usize>,
 }
@@ -1112,7 +1051,6 @@ impl CallGraph {
                     name: f.name.clone(),
                     rel: file.rel.clone(),
                     line: f.line,
-                    is_pub: f.is_pub,
                     callees: Vec::new(),
                 });
                 // closures never resolve by name; `{closure@N}` can
@@ -1225,21 +1163,14 @@ mod tests {
     }
 
     #[test]
-    fn functions_and_visibility_are_recorded() {
+    fn functions_and_calls_are_recorded() {
         let syms = parse(
             "pub fn api() { helper(); }\n\
              fn helper() {}\n\
              pub(crate) fn internal() {}\n",
         );
-        let names: Vec<(&str, bool)> = syms
-            .fns
-            .iter()
-            .map(|f| (f.name.as_str(), f.is_pub))
-            .collect();
-        assert_eq!(
-            names,
-            vec![("api", true), ("helper", false), ("internal", false)]
-        );
+        let names: Vec<&str> = syms.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, vec!["api", "helper", "internal"]);
         assert_eq!(syms.fns[0].calls.len(), 1);
         assert_eq!(syms.fns[0].calls[0].callee, "helper");
     }
@@ -1260,19 +1191,6 @@ mod tests {
     fn cfg_not_test_is_kept() {
         let syms = parse("#[cfg(not(test))]\nfn kept() {}\n");
         assert_eq!(syms.fns.len(), 1);
-    }
-
-    #[test]
-    fn panic_sites_are_token_exact() {
-        let syms = parse(
-            "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n\
-             fn g(x: Option<u8>) -> u8 { x.unwrap_or(0) }\n\
-             fn h() { panic!(\"boom\"); }\n",
-        );
-        assert_eq!(syms.fns[0].panics.len(), 1);
-        assert_eq!(syms.fns[0].panics[0].what, "unwrap");
-        assert!(syms.fns[1].panics.is_empty(), "unwrap_or is not unwrap");
-        assert_eq!(syms.fns[2].panics[0].what, "panic!");
     }
 
     #[test]
@@ -1401,7 +1319,7 @@ mod tests {
     }
 
     #[test]
-    fn closure_panics_and_edges_flow_through_the_graph() {
+    fn closure_edges_flow_through_the_graph() {
         let g = CallGraph::build(vec![parse_file(
             "crates/demo/src/lib.rs",
             "pub fn api() { par_run(|| deep()); }\n\

@@ -2,7 +2,7 @@
 //! allowlist application, rendering, exit codes.
 //!
 //! ```text
-//! staticheck [policy|lints|all] [--format text|json|sarif] [--json]
+//! staticheck [policy|lints|all] [--format text|json] [--json]
 //!            [--warnings] [--root DIR] [--only PREFIX]
 //!            [--fixture FILE.json] [--allowlist FILE.toml]
 //!            [--no-allowlist]
@@ -12,8 +12,8 @@
 //! built-in IXP scheme (members unknown, so SC003 is skipped — the
 //! per-scenario member set is checked by the `repro check` pre-flight)
 //! and cross-checks the eight dictionaries against each other (SC006).
-//! `lints` runs both the token-level linter (SC101–SC106) and the
-//! dataflow pass (SC107/SC108).
+//! `lints` runs both the token-level linter (SC103/SC104) and the
+//! dataflow pass (SC107, SC109–SC112).
 //!
 //! Exit codes: 0 = clean, 1 = non-allowlisted error-grade findings
 //! remain, 2 = internal/IO error (the analysis did not complete).
@@ -32,7 +32,7 @@ use route_server::rules::ImportRule;
 
 use crate::allow::Allowlist;
 use crate::diag::{Diagnostic, Report};
-use crate::{dataflow, diag, lints, policy, sarif};
+use crate::{dataflow, diag, lints, policy};
 
 /// A self-contained policy-verification scenario, loadable from JSON.
 /// Used by the seeded-violation fixtures under `tests/fixtures/`.
@@ -93,8 +93,6 @@ pub enum Format {
     Text,
     /// The [`Report`] as JSON.
     Json,
-    /// SARIF 2.1.0 (code-scanning artifact).
-    Sarif,
 }
 
 /// Parsed command line.
@@ -145,11 +143,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "all" => opts.mode = Mode::All,
             "--json" => opts.format = Format::Json,
             "--format" => {
-                let v = it.next().ok_or("--format needs text, json, or sarif")?;
+                let v = it.next().ok_or("--format needs text or json")?;
                 opts.format = match v.as_str() {
                     "text" => Format::Text,
                     "json" => Format::Json,
-                    "sarif" => Format::Sarif,
                     other => return Err(format!("unknown format {other:?}\n{USAGE}")),
                 };
             }
@@ -183,12 +180,11 @@ usage: staticheck [policy|lints|all] [options]
 
 modes:
   policy           verify IXP schemes / a --fixture (SC001-SC006)
-  lints            workspace lints + dataflow (SC101-SC108)
+  lints            workspace lints + dataflow (SC103-SC112)
   all              both (default)
 
 options:
-  --format FMT     output format: text (default), json, or sarif
-                   (SARIF 2.1.0, for CI artifacts and editors)
+  --format FMT     output format: text (default) or json
   --json           shorthand for --format json
   --warnings       include warning-grade findings in text output
   --root DIR       workspace root (default: this checkout)
@@ -247,7 +243,6 @@ pub fn run(args: &[String]) -> i32 {
         Ok((report, output)) => {
             match output.format {
                 Format::Json => println!("{}", report.render_json()),
-                Format::Sarif => print!("{}", sarif::render_sarif(&report)),
                 Format::Text => print!("{}", report.render_text_with(output.warnings)),
             }
             report.exit_code()
@@ -271,9 +266,6 @@ pub struct OutputOpts {
 /// The testable core of [`run`]: everything but printing and exiting.
 pub fn run_captured(args: &[String]) -> Result<(Report, OutputOpts), String> {
     let opts = parse_args(args)?;
-
-    // the allowlist loads before the engines: the dataflow pass treats
-    // SC101-waived panic sites as sanctioned (they do not seed SC108)
     let allowlist = if opts.no_allowlist {
         Allowlist::default()
     } else {
@@ -300,7 +292,7 @@ pub fn run_captured(args: &[String]) -> Result<(Report, OutputOpts), String> {
     if opts.mode != Mode::Policy {
         let only = opts.only.as_deref();
         findings.extend(lints::lint_workspace(&opts.root, only));
-        findings.extend(dataflow::analyze(&opts.root, &allowlist, only));
+        findings.extend(dataflow::analyze(&opts.root, only));
     }
 
     let mut report = Report::default();
@@ -361,16 +353,8 @@ mod tests {
         assert!(out.format == Format::Json && !out.warnings);
         let (_, out) = run_captured(&s(&["policy", "--warnings"])).expect("run");
         assert!(out.warnings && out.format == Format::Text);
-        let (_, out) = run_captured(&s(&["policy", "--format", "sarif"])).expect("run");
-        assert!(out.format == Format::Sarif);
-    }
-
-    #[test]
-    fn sarif_output_renders_for_the_tree() {
-        let (report, _) = run_captured(&s(&["policy", "--format", "sarif"])).expect("run");
-        let doc = sarif::render_sarif(&report);
-        serde_json::parse_value(&doc).expect("valid JSON");
-        assert!(doc.contains("\"name\": \"staticheck\""));
+        let (_, out) = run_captured(&s(&["policy", "--format", "json"])).expect("run");
+        assert!(out.format == Format::Json);
     }
 
     #[test]

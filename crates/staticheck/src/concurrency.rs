@@ -834,12 +834,11 @@ fn sc112(graph: &CallGraph, par_tasks: &[usize], out: &mut Vec<Diagnostic>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allow::Allowlist;
     use crate::dataflow::analyze_sources;
 
     fn run(src: &str) -> Vec<Diagnostic> {
         let sources = vec![("crates/demo/src/lib.rs".to_string(), src.to_string())];
-        analyze_sources(&sources, &Allowlist::default())
+        analyze_sources(&sources)
     }
 
     fn by_code<'a>(diags: &'a [Diagnostic], code: &str) -> Vec<&'a Diagnostic> {

@@ -1,5 +1,6 @@
-//! The determinism dataflow pass (SC107) and interprocedural
-//! panic-reachability (SC108), built on [`crate::callgraph`].
+//! The determinism dataflow pass (SC107), built on
+//! [`crate::callgraph`], and the entry point of the concurrency checks
+//! ([`crate::concurrency`]) that share its call graph.
 //!
 //! * **SC107** — iteration over a `HashMap`/`HashSet` (`.iter()`,
 //!   `.keys()`, `.values()`, `.drain()`, `for x in map`) whose order
@@ -10,12 +11,6 @@
 //!   equivalence, trace digests, chaos fingerprints, golden fixtures).
 //!   The pass is interprocedural: an iteration handed to a function
 //!   that transitively reaches a sink is flagged with the call chain.
-//! * **SC108** — a public (unrestricted `pub`) function that can reach
-//!   a panic site (`unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`)
-//!   through any call chain. Panic sites waived for SC101 in
-//!   `staticheck.toml` are treated as sanctioned (their waiver reason
-//!   asserts unreachability) and do not taint callers. Chains of length
-//!   one are SC101's territory and not re-reported.
 //!
 //! Known blind spots, by construction (documented in TESTING.md): flow
 //! through return values into a caller that emits, flow through `&mut`
@@ -25,7 +20,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
-use crate::allow::Allowlist;
 use crate::callgraph::{parse_file, CallGraph, FileSyms};
 use crate::diag::{Diagnostic, Severity};
 use crate::lexer::{Tok, TokKind};
@@ -109,15 +103,16 @@ pub(crate) fn is_sink_name(qual: Option<&str>, name: &str) -> bool {
         || name.contains("prometheus")
 }
 
-/// Run both dataflow checks over the workspace rooted at `root`.
-/// `only` restricts analysis to files whose workspace-relative path
-/// starts with it (the `--only` self-lint filter).
-pub fn analyze(root: &Path, allow: &Allowlist, only: Option<&str>) -> Vec<Diagnostic> {
-    analyze_sources(&crate::lints::workspace_sources(root, only), allow)
+/// Run the dataflow and concurrency checks over the workspace rooted
+/// at `root`. `only` restricts analysis to files whose
+/// workspace-relative path starts with it (the `--only` self-lint
+/// filter).
+pub fn analyze(root: &Path, only: Option<&str>) -> Vec<Diagnostic> {
+    analyze_sources(&crate::lints::workspace_sources(root, only))
 }
 
 /// The testable core: analyze in-memory `(rel_path, source)` pairs.
-pub fn analyze_sources(sources: &[(String, String)], allow: &Allowlist) -> Vec<Diagnostic> {
+pub fn analyze_sources(sources: &[(String, String)]) -> Vec<Diagnostic> {
     let files: Vec<FileSyms> = sources
         .iter()
         .map(|(rel, text)| parse_file(rel, text))
@@ -135,7 +130,6 @@ pub fn analyze_sources(sources: &[(String, String)], allow: &Allowlist) -> Vec<D
 
     let mut out = Vec::new();
     sc107(&graph, &sink_next, &mut out);
-    sc108(&graph, allow, &mut out);
     crate::concurrency::check(&graph, &sink_next, &mut out);
     out
 }
@@ -814,76 +808,13 @@ impl FnScan<'_> {
     }
 }
 
-// --- SC108: interprocedural panic reachability ---------------------------
-
-fn sc108(graph: &CallGraph, allow: &Allowlist, out: &mut Vec<Diagnostic>) {
-    let in_bin = |rel: &str| rel.contains("/src/bin/");
-    // a panic site is sanctioned when an SC101 allowlist entry covers it
-    let sanctioned = |rel: &str, line: u32| {
-        let probe = Diagnostic::new(
-            "SC101",
-            Severity::Error,
-            format!("{rel}:{line}"),
-            "panic-reachability probe",
-        );
-        allow.waiver(&probe).is_some()
-    };
-    let seeds: Vec<bool> = (0..graph.nodes.len())
-        .map(|i| {
-            let node = &graph.nodes[i];
-            !in_bin(&node.rel)
-                && graph
-                    .def(i)
-                    .panics
-                    .iter()
-                    .any(|p| !sanctioned(&node.rel, p.line))
-        })
-        .collect();
-    let next = graph.reach(|i| seeds[i]);
-    for (i, node) in graph.nodes.iter().enumerate() {
-        if !node.is_pub || in_bin(&node.rel) || next[i].is_none() {
-            continue;
-        }
-        let chain = graph.chain(i, &next);
-        if chain.len() < 2 {
-            continue; // the entry panics directly: that is SC101's report
-        }
-        // a chain that only descends into the entry's own closures is a
-        // panic in the entry's own body — also SC101's report
-        if chain[1..].iter().all(|&n| graph.def(n).is_closure) {
-            continue;
-        }
-        let seed = *chain.last().unwrap_or(&i);
-        let site = graph
-            .def(seed)
-            .panics
-            .iter()
-            .find(|p| !sanctioned(&graph.nodes[seed].rel, p.line))
-            .cloned();
-        let Some(site) = site else { continue };
-        out.push(Diagnostic::new(
-            "SC108",
-            Severity::Error,
-            format!("{}:{}", node.rel, node.line),
-            format!(
-                "public `{}` can reach a panic: `{}` (`{}` at {}:{})",
-                node.name,
-                graph.chain_names(&chain).replace(" -> ", "` -> `"),
-                site.what,
-                graph.nodes[seed].rel,
-                site.line
-            ),
-        ));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn run(src: &str) -> Vec<Diagnostic> {
         let sources = vec![("crates/demo/src/lib.rs".to_string(), src.to_string())];
-        analyze_sources(&sources, &Allowlist::default())
+        analyze_sources(&sources)
     }
 
     fn codes(diags: &[Diagnostic]) -> Vec<&str> {
@@ -953,7 +884,7 @@ mod tests {
                 .to_string(),
             ),
         ];
-        let diags = analyze_sources(&sources, &Allowlist::default());
+        let diags = analyze_sources(&sources);
         assert!(diags.is_empty(), "{diags:?}");
     }
 
@@ -979,38 +910,5 @@ mod tests {
              }\n");
         assert_eq!(codes(&diags), vec!["SC107"]);
         assert!(diags[0].message.contains("emit_rows"), "{diags:?}");
-    }
-
-    #[test]
-    fn sc108_reports_the_call_chain() {
-        let diags = run("fn deep(x: Option<u8>) -> u8 { x.unwrap() }\n\
-             fn middle(x: Option<u8>) -> u8 { deep(x) }\n\
-             pub fn api(x: Option<u8>) -> u8 { middle(x) }\n");
-        assert_eq!(codes(&diags), vec!["SC108"]);
-        assert!(diags[0].message.contains("api` -> `middle` -> `deep"));
-        assert!(diags[0].message.contains("unwrap"));
-    }
-
-    #[test]
-    fn sc108_direct_panic_is_left_to_sc101() {
-        let diags = run("pub fn api(x: Option<u8>) -> u8 { x.unwrap() }\n");
-        assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn sc101_waivers_sanction_sc108_seeds() {
-        let allow = Allowlist::parse(
-            "[[allow]]\ncode = \"SC101\"\npath = \"crates/demo/src/lib.rs\"\n\
-             reason = \"table lookups are total\"\n",
-        )
-        .expect("parse");
-        let sources = vec![(
-            "crates/demo/src/lib.rs".to_string(),
-            "fn deep(x: Option<u8>) -> u8 { x.unwrap() }\n\
-             pub fn api(x: Option<u8>) -> u8 { deep(x) }\n"
-                .to_string(),
-        )];
-        let diags = analyze_sources(&sources, &allow);
-        assert!(diags.is_empty(), "{diags:?}");
     }
 }

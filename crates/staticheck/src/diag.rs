@@ -11,14 +11,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-/// Every stable diagnostic code, in catalog order (SC0xx = policy
-/// verifier, SC1xx = workspace linter + dataflow).
-pub const CODES: [&str; 18] = [
-    "SC001", "SC002", "SC003", "SC004", "SC005", "SC006", "SC101", "SC102", "SC103", "SC104",
-    "SC105", "SC106", "SC107", "SC108", "SC109", "SC110", "SC111", "SC112",
-];
-
-/// One-line description of a diagnostic code (the SARIF rule catalog).
+/// One-line description of a diagnostic code (the `--explain` headline).
 pub fn describe(code: &str) -> &'static str {
     match code {
         "SC001" => "shadowed import rule: can never match",
@@ -27,14 +20,9 @@ pub fn describe(code: &str) -> &'static str {
         "SC004" => "one community value parses under two semantics",
         "SC005" => "applied action can never take effect (import→action→export)",
         "SC006" => "cross-dictionary drift: one pattern, conflicting actions across IXPs",
-        "SC101" => "panicking construct in library code",
-        "SC102" => "raw clock read outside the obs crate",
         "SC103" => "metric/span name minted outside the obs::names registry",
         "SC104" => "obs::names registry is inconsistent",
-        "SC105" => "raw thread creation outside the par pool",
-        "SC106" => "trace-context plumbing outside its sanctioned crates",
         "SC107" => "hash-map iteration order can reach serialized output",
-        "SC108" => "public function can reach a panic (interprocedural)",
         "SC109" => "par-task closure captures or reaches interior mutability",
         "SC110" => "inconsistent lock-acquisition order across call chains",
         "SC111" => "Ordering::Relaxed atomic value flows into serialized output",
@@ -79,18 +67,6 @@ pub fn explain(code: &str) -> Option<String> {
              dictionaries, so cross-IXP comparisons silently disagree.",
             "Waive only with a citation for each IXP's documented semantics.",
         ),
-        "SC101" => (
-            "unwrap/expect/panic! in library code turns recoverable situations\n\
-             into aborts, and SC108 treats each site as a reachability seed.",
-            "Waive with an argument why the panic is unreachable (totality,\n\
-             checked invariant); SC108 trusts that argument.",
-        ),
-        "SC102" => (
-            "Raw clock reads outside obs make runs time-dependent and break\n\
-             byte-identical replay; obs::clock is the one sanctioned source.",
-            "Waive only in transport/timing code that never feeds analysis\n\
-             output.",
-        ),
         "SC103" => (
             "Metric/span names minted ad hoc drift from the obs::names\n\
              registry, breaking dashboards and the SC104 consistency check.",
@@ -101,29 +77,12 @@ pub fn explain(code: &str) -> Option<String> {
              referenced; an inconsistent registry invalidates SC103.",
             "No waivers: fix the registry.",
         ),
-        "SC105" => (
-            "Raw std::thread spawns bypass the par pool's determinism story\n\
-             (ordered join, accounted metrics) and its PAR_THREADS override.",
-            "Waive only for long-lived service threads (e.g. the looking-glass\n\
-             accept loop) that never touch analysis state.",
-        ),
-        "SC106" => (
-            "Trace-context plumbing outside its sanctioned crates duplicates\n\
-             propagation logic and breaks causal trace reconstruction.",
-            "No waivers: route through the sanctioned API.",
-        ),
         "SC107" => (
             "HashMap/HashSet iteration order differs across processes; one\n\
              unsorted path into serialized output breaks every byte-identical\n\
              oracle (par equivalence, trace digests, golden fixtures).",
             "Waive only when the consumer is provably order-insensitive and a\n\
              BTree/sort rewrite is impractical; explain both.",
-        ),
-        "SC108" => (
-            "A public function that can transitively reach a panic gives\n\
-             callers an abort surface no signature warns about.",
-            "Waive the underlying SC101 site with an unreachability argument;\n\
-             SC108 inherits it.",
         ),
         "SC109" => (
             "A par-task closure (passed to par::map_indexed, thread::scope, or\n\
@@ -195,7 +154,7 @@ impl fmt::Display for Severity {
 /// never chase renames.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Diagnostic {
-    /// Stable diagnostic code (`SC001`, `SC101`, ...).
+    /// Stable diagnostic code (`SC001`, `SC103`, ...).
     pub code: String,
     /// Error or warning.
     pub severity: Severity,
@@ -308,12 +267,6 @@ impl Report {
     /// JSON rendering (machine-readable CI artifact).
     pub fn render_json(&self) -> String {
         serde_json::to_string_pretty(self).unwrap_or_else(|_| "{}".to_string())
-    }
-
-    /// Merge another report into this one.
-    pub fn merge(&mut self, other: Report) {
-        self.findings.extend(other.findings);
-        self.allowed.extend(other.allowed);
     }
 }
 

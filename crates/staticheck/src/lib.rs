@@ -1,9 +1,9 @@
 //! Static analysis for the IXP action-community workspace: a policy
-//! verifier, a workspace invariant linter, and an interprocedural
+//! verifier, a metric-name registry linter, and an interprocedural
 //! dataflow pass behind one binary, wired into CI (`scripts/ci.sh`).
 //!
 //! ```text
-//! cargo run -p staticheck -- [policy|lints|all] [--format text|json|sarif]
+//! cargo run -p staticheck -- [policy|lints|all] [--format text|json]
 //! ```
 //!
 //! # Engine 1: the policy verifier ([`policy`])
@@ -62,15 +62,14 @@
 //! (`examples/ineffective_audit.rs`) can cross-check its simulated
 //! result against the static prediction — the two must agree exactly.
 //!
-//! # Engine 2: the workspace linter ([`lints`])
+//! # Engine 2: the registry linter ([`lints`])
 //!
 //! A token-level scanner (no `syn`; the container is offline) over
-//! `crates/*/src/**.rs` enforcing: SC101 no panicking constructs in
-//! library code, SC102 no raw clock reads outside `obs`, SC103 every
-//! minted metric/span name comes from the `obs::names` registry, SC104
-//! the registry itself is consistent, SC105 no raw thread creation
-//! outside the `par` pool (and the looking-glass TCP transport), SC106
-//! no trace-context plumbing outside its sanctioned crates.
+//! `crates/*/src/**.rs` enforcing: SC103 every minted metric/span name
+//! comes from the `obs::names` registry, SC104 the registry itself is
+//! consistent. The source rules about calls — no panics in library
+//! code, no raw clock reads, no ad-hoc threads, no hand-rolled trace
+//! context — are clippy lints with resolved paths (`clippy.toml`).
 //!
 //! # Engine 3: the dataflow pass ([`dataflow`])
 //!
@@ -78,8 +77,7 @@
 //! zero-dependency [`lexer`] + [`callgraph`] layers: SC107 flags
 //! `HashMap`/`HashSet` iteration order reaching serialized output
 //! without an intervening sort (with the call chain named in the
-//! diagnostic), SC108 reports public functions that can reach a panic
-//! through the call graph. The call graph models closures as anonymous
+//! diagnostic). The call graph models closures as anonymous
 //! functions with capture lists, which powers the concurrency-safety
 //! engine ([`concurrency`]): SC109 interior mutability reachable from a
 //! par-task closure, SC110 inconsistent lock-acquisition order, SC111
@@ -88,11 +86,18 @@
 //! accepted blind spots live in the module docs and TESTING.md.
 //!
 //! Sanctioned exceptions live in `staticheck.toml` at the repo root
-//! ([`allow`]); every entry needs a reason. Output renders as text,
-//! JSON, or SARIF 2.1.0 ([`sarif`]). Exit status: 0 clean, 1
-//! non-allowlisted error-grade findings, 2 internal error.
+//! ([`allow`]); every entry needs a reason. Output renders as text or
+//! JSON. Exit status: 0 clean, 1 non-allowlisted error-grade findings,
+//! 2 internal error.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod allow;
 pub mod callgraph;
@@ -103,7 +108,6 @@ pub mod diag;
 pub mod lexer;
 pub mod lints;
 pub mod policy;
-pub mod sarif;
 
 pub use allow::{AllowEntry, Allowlist};
 pub use diag::{Diagnostic, Report, Severity};

@@ -1,40 +1,32 @@
-//! Engine 2: the workspace invariant linter.
+//! Engine 2: the metric-name registry linter.
 //!
 //! A deliberately lightweight line/token-level scanner over
 //! `crates/*/src/**.rs` (plus the root crate's `src/`). No `syn`, no
 //! network, no proc-macro expansion — the container is offline and the
-//! invariants below are all visible at the token level once comments
+//! two invariants below are visible at the token level once comments
 //! and string contents are blanked out:
 //!
-//! * **SC101** — no `.unwrap()` / `.expect(` / `panic!` / `todo!` /
-//!   `unimplemented!` in non-test library code (`src/bin/` and
-//!   `#[cfg(test)]` regions are exempt);
-//! * **SC102** — no `SystemTime::now` / `Instant::now` outside the
-//!   `obs` crate (all clocks flow through instrumentation);
 //! * **SC103** — no string-literal metric or span names outside `obs`:
 //!   every minted name must come from the `obs::names` registry;
 //! * **SC104** — the `obs::names` registry itself is self-consistent
 //!   (every constant listed in `ALL`, no duplicate values, names follow
-//!   the `dotted.lowercase` convention);
-//! * **SC105** — no `std::thread::spawn` / `thread::scope` /
-//!   `thread::Builder` outside the `par` executor and the looking-glass
-//!   TCP transport: all data-parallel threading goes through the pool,
-//!   whose ordered joins keep artifacts deterministic;
-//! * **SC106** — no trace-context plumbing (`trace::capture` /
-//!   `trace::attach_task` / `trace::adopt_wire`) outside `obs`, the
-//!   `par` executor and the LG transport: task bodies get their trace
-//!   parent from the pool, and hand-rolled attachment would fork the
-//!   deterministic ID scheme the trace-equivalence oracle relies on.
+//!   the `dotted.lowercase` convention).
 //!
-//! SC103/SC104 cover the trace names too: `obs::span!` mints both the
+//! Both cover the trace names too: `obs::span!` mints both the
 //! histogram and the trace span from the same `obs::names` constant,
 //! and the registry check extends to dynamic families like
 //! `par.task_ns/<site>` because those join existing registered names.
 //!
+//! The rules about *calls* — no panics in library code, no raw clock
+//! reads, no ad-hoc threads, no hand-rolled trace context — are clippy
+//! lints (`clippy.toml` and the `#![deny(..)]` line of every library
+//! crate root): they need path resolution, which a substring scan
+//! cannot do (`use std::time::Instant as Clock` hides the call).
+//!
 //! The scanner first *cleans* each file: comment bodies and string
 //! contents are replaced by spaces (quotes are kept so SC103 can still
 //! see that a literal was passed), and `#[cfg(test)]` item bodies are
-//! skipped via brace-depth tracking. This keeps every check a plain
+//! skipped via brace-depth tracking. This keeps SC103 a plain
 //! substring scan on the cleaned text.
 
 use std::collections::BTreeMap;
@@ -102,14 +94,11 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 
 /// Lint one cleaned file.
 fn lint_file(rel: &str, text: &str, out: &mut Vec<Diagnostic>) {
+    // obs is the registry's home: it mints names from its own constants
+    if rel.starts_with("crates/obs/") {
+        return;
+    }
     let cleaned = clean_source(text);
-    let in_obs = rel.starts_with("crates/obs/");
-    let in_bin = rel.contains("/src/bin/");
-    // The only sanctioned thread-creation sites: the deterministic pool
-    // itself, and the LG TCP transport's per-connection workers (request
-    // serving is I/O concurrency, not data parallelism).
-    let may_spawn =
-        rel.starts_with("crates/par/") || rel == "crates/looking-glass/src/transport.rs";
 
     let mut depth: i32 = 0;
     let mut skip_above: Option<i32> = None; // inside #[cfg(test)] body
@@ -143,108 +132,8 @@ fn lint_file(rel: &str, text: &str, out: &mut Vec<Diagnostic>) {
                 _ => {}
             }
         }
-        if !lintable {
-            continue;
-        }
-        if !in_bin {
-            check_panic_free(rel, lineno, line, out);
-        }
-        if !in_obs {
-            check_clock_free(rel, lineno, line, out);
+        if lintable {
             check_metric_names(rel, lineno, line, out);
-        }
-        if !may_spawn {
-            check_thread_free(rel, lineno, line, out);
-        }
-        if !may_spawn && !in_obs {
-            check_trace_context(rel, lineno, line, out);
-        }
-    }
-}
-
-/// SC101: panicking constructs in library code.
-fn check_panic_free(rel: &str, lineno: usize, line: &str, out: &mut Vec<Diagnostic>) {
-    // needles are split so staticheck's own source does not trip them
-    const NEEDLES: [(&str, &str); 5] = [
-        (".unwrap()", "unwrap"),
-        (".expect(", "expect"),
-        ("panic!(", "panic!"),
-        ("todo!(", "todo!"),
-        ("unimplemented!(", "unimplemented!"),
-    ];
-    for (needle, what) in NEEDLES {
-        if let Some(col) = line.find(needle) {
-            // `core::panic!` etc. still match; `#[should_panic(` must not
-            if what == "panic!" && line[..col].ends_with("should_") {
-                continue;
-            }
-            out.push(Diagnostic::new(
-                "SC101",
-                Severity::Error,
-                format!("{rel}:{lineno}"),
-                format!(
-                    "`{what}` in library code: propagate the error or add an \
-                     allowlist entry with a reason"
-                ),
-            ));
-        }
-    }
-}
-
-/// SC102: raw clock reads outside `obs`.
-fn check_clock_free(rel: &str, lineno: usize, line: &str, out: &mut Vec<Diagnostic>) {
-    for needle in ["SystemTime::now", "Instant::now"] {
-        if line.contains(needle) {
-            out.push(Diagnostic::new(
-                "SC102",
-                Severity::Error,
-                format!("{rel}:{lineno}"),
-                format!("`{needle}` outside the obs crate: time must flow through instrumentation"),
-            ));
-        }
-    }
-}
-
-/// SC105: raw thread creation outside the `par` pool (and the LG TCP
-/// transport). Ad-hoc threads bypass the ordered-join determinism
-/// argument and the pool's telemetry.
-fn check_thread_free(rel: &str, lineno: usize, line: &str, out: &mut Vec<Diagnostic>) {
-    for needle in ["thread::spawn(", "thread::scope(", "thread::Builder"] {
-        if line.contains(needle) {
-            out.push(Diagnostic::new(
-                "SC105",
-                Severity::Error,
-                format!("{rel}:{lineno}"),
-                format!(
-                    "`{needle}` outside crates/par: route data parallelism \
-                     through par::map_indexed so joins stay ordered"
-                ),
-            ));
-        }
-    }
-}
-
-/// SC106: trace-context plumbing outside `obs`, the `par` pool and the
-/// LG transport. `obs::span!` inside a task body already parents to the
-/// submitting span via the context the pool attached; calling the
-/// attachment API directly would graft spans onto the wrong parent and
-/// break the byte-identical trace-tree oracle.
-fn check_trace_context(rel: &str, lineno: usize, line: &str, out: &mut Vec<Diagnostic>) {
-    for needle in [
-        "trace::capture(",
-        "trace::attach_task(",
-        "trace::adopt_wire(",
-    ] {
-        if line.contains(needle) {
-            out.push(Diagnostic::new(
-                "SC106",
-                Severity::Error,
-                format!("{rel}:{lineno}"),
-                format!(
-                    "`{needle}` outside the trace plumbing: open spans with \
-                     obs::span! and let par/looking-glass carry the context"
-                ),
-            ));
         }
     }
 }
@@ -545,48 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_in_library_code_is_flagged() {
-        let diags = lint_text("crates/x/src/lib.rs", "fn f() { y.unwrap(); }\n");
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, "SC101");
-        assert_eq!(diags[0].location, "crates/x/src/lib.rs:1");
-    }
-
-    #[test]
-    fn unwrap_in_cfg_test_is_exempt() {
-        let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n fn g() { y.unwrap(); }\n}\n";
-        assert!(lint_text("crates/x/src/lib.rs", src).is_empty());
-        // ...but code after the test module is linted again
-        let src2 = format!("{src}fn h() {{ z.expect(\"boom\"); }}\n");
-        let diags = lint_text("crates/x/src/lib.rs", &src2);
-        assert_eq!(diags.len(), 1);
-        assert!(diags[0].message.contains("expect"));
-    }
-
-    #[test]
-    fn bins_are_exempt_from_sc101_only() {
-        let src = "fn main() { y.unwrap(); let t = std::time::Instant::now(); }\n";
-        let diags = lint_text("crates/x/src/bin/tool.rs", src);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, "SC102");
-    }
-
-    #[test]
-    fn should_panic_attr_is_not_flagged() {
-        let src = "#[should_panic(expected = \"x\")]\nfn f() {}\n";
-        assert!(lint_text("crates/x/src/lib.rs", src).is_empty());
-    }
-
-    #[test]
-    fn clock_reads_flagged_outside_obs_only() {
-        let src = "fn f() { let t = Instant::now(); }\n";
-        let diags = lint_text("crates/route-server/src/x.rs", src);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, "SC102");
-        assert!(lint_text("crates/obs/src/clock.rs", src).is_empty());
-    }
-
-    #[test]
     fn literal_metric_names_flagged_outside_obs() {
         let src = "let c = registry.counter(\"rs.x\");\nlet s = obs::span!(\"sim.y\");\n";
         let diags = lint_text("crates/x/src/lib.rs", src);
@@ -595,48 +442,15 @@ mod tests {
         // constants are fine
         let ok = "let c = registry.counter(obs::names::RS_X);\n";
         assert!(lint_text("crates/x/src/lib.rs", ok).is_empty());
-    }
-
-    #[test]
-    fn thread_spawn_flagged_outside_par() {
-        let src = "fn f() { std::thread::spawn(|| {}); }\n";
-        let diags = lint_text("crates/analysis/src/x.rs", src);
+        // obs itself and `#[cfg(test)]` bodies are exempt...
+        assert!(lint_text("crates/obs/src/metrics.rs", src).is_empty());
+        let test_mod = "#[cfg(test)]\nmod tests {\n fn g() { r.counter(\"t.x\"); }\n}\n";
+        assert!(lint_text("crates/x/src/lib.rs", test_mod).is_empty());
+        // ...but code after the test module is linted again
+        let after = format!("{test_mod}fn h() {{ r.gauge(\"t.y\"); }}\n");
+        let diags = lint_text("crates/x/src/lib.rs", &after);
         assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, "SC105");
-        // sanctioned sites: the pool and the LG TCP transport
-        assert!(lint_text("crates/par/src/lib.rs", src).is_empty());
-        assert!(lint_text("crates/looking-glass/src/transport.rs", src).is_empty());
-        // ...but the rest of looking-glass is not exempt
-        assert_eq!(
-            lint_text("crates/looking-glass/src/server.rs", src).len(),
-            1
-        );
-        // scoped threads and builders count too
-        let scoped = "fn f() { std::thread::scope(|s| {}); }\n";
-        assert_eq!(lint_text("crates/x/src/lib.rs", scoped)[0].code, "SC105");
-        // test code is exempt like the other lints
-        let test_src = "#[cfg(test)]\nmod tests {\n fn g() { std::thread::spawn(|| {}); }\n}\n";
-        assert!(lint_text("crates/x/src/lib.rs", test_src).is_empty());
-    }
-
-    #[test]
-    fn trace_context_flagged_outside_plumbing() {
-        let src = "fn f() { let p = obs::trace::capture(); }\n";
-        let diags = lint_text("crates/analysis/src/x.rs", src);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, "SC106");
-        // sanctioned sites: obs itself, the pool, the LG transport
-        assert!(lint_text("crates/obs/src/trace.rs", src).is_empty());
-        assert!(lint_text("crates/par/src/lib.rs", src).is_empty());
-        assert!(lint_text("crates/looking-glass/src/transport.rs", src).is_empty());
-        // attach/adopt count too
-        let attach = "fn f() { let _g = obs::trace::attach_task(None, 0); }\n";
-        assert_eq!(lint_text("crates/x/src/lib.rs", attach)[0].code, "SC106");
-        let adopt = "fn f() { let _g = obs::trace::adopt_wire(ctx); }\n";
-        assert_eq!(lint_text("crates/x/src/lib.rs", adopt)[0].code, "SC106");
-        // test modules are exempt like the other lints
-        let test_src = "#[cfg(test)]\nmod tests {\n fn g() { let p = obs::trace::capture(); }\n}\n";
-        assert!(lint_text("crates/x/src/lib.rs", test_src).is_empty());
+        assert_eq!(diags[0].location, "crates/x/src/lib.rs:5");
     }
 
     #[test]

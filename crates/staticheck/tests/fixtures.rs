@@ -154,23 +154,6 @@ fn sc107_tree_reports_hash_order_flow_with_chain() {
 }
 
 #[test]
-fn sc108_tree_reports_panic_reachability_chain() {
-    let report = run_tree("sc108_tree");
-    let mut found = codes(&report);
-    found.sort_unstable();
-    // SC101 flags the raw unwrap; SC108 adds the interprocedural chain
-    assert_eq!(found, vec!["SC101", "SC108"]);
-    let d = report
-        .findings
-        .iter()
-        .find(|d| d.code == "SC108")
-        .expect("SC108 finding");
-    assert!(d.message.contains("api` -> `middle` -> `deep"), "{d:?}");
-    assert!(d.message.contains("unwrap"), "{d:?}");
-    assert_ne!(report.exit_code(), 0);
-}
-
-#[test]
 fn sc109_tree_reports_captured_and_reached_interior_mutability() {
     let report = run_tree("sc109_tree");
     assert_eq!(codes(&report), vec!["SC109", "SC109"]);
@@ -282,10 +265,8 @@ fn lints_engine_reports_seeded_violations() {
     std::fs::write(
         src.join("lib.rs"),
         concat!(
-            "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
-            "pub fn t() -> std::time::Instant { std::time::Instant::now() }\n",
             "pub fn m(r: &obs::Registry) { r.counter(\"demo.count\"); }\n",
-            "#[cfg(test)]\nmod tests {\n    fn fine() { None::<u8>.unwrap(); }\n}\n",
+            "#[cfg(test)]\nmod tests {\n    fn fine(r: &obs::Registry) { r.gauge(\"t.x\"); }\n}\n",
         ),
     )
     .expect("write");
@@ -296,7 +277,7 @@ fn lints_engine_reports_seeded_violations() {
     let mut found = codes(&report);
     found.sort_unstable();
     // SC104 fires too: the fake root has no obs::names registry at all
-    assert_eq!(found, vec!["SC101", "SC102", "SC103", "SC104"]);
+    assert_eq!(found, vec!["SC103", "SC104"]);
     assert!(report
         .findings
         .iter()

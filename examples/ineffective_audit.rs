@@ -14,7 +14,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use ixp_actions::prelude::*;
-use ixp_actions::staticheck;
 
 fn main() {
     let ixp = IxpId::AmsIx;

@@ -20,6 +20,13 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub use analysis;
 pub use bgp_model;
@@ -29,7 +36,6 @@ pub use ixp_sim;
 pub use looking_glass;
 pub use par;
 pub use route_server;
-pub use staticheck;
 
 /// Everything most users need.
 pub mod prelude {
