@@ -31,7 +31,7 @@ impl Table2 {
     /// Derive the table from accumulated per-group AS counts. Groups
     /// with zero users are dropped: the serialized table lists only
     /// groups that occur.
-    pub fn from_counts(
+    pub(crate) fn from_counts(
         ixp: IxpId,
         afi: Afi,
         members_at_rs: usize,
@@ -87,7 +87,7 @@ pub struct TypeCounts {
 impl TypeCounts {
     /// Derive the counts from accumulated per-group instance totals;
     /// zero-count groups are dropped, as in [`Table2::from_counts`].
-    pub fn from_counts(ixp: IxpId, afi: Afi, per_group: BTreeMap<ActionGroup, u64>) -> Self {
+    pub(crate) fn from_counts(ixp: IxpId, afi: Afi, per_group: BTreeMap<ActionGroup, u64>) -> Self {
         let per_group: BTreeMap<ActionGroup, u64> =
             per_group.into_iter().filter(|(_, n)| *n > 0).collect();
         TypeCounts {
@@ -99,7 +99,7 @@ impl TypeCounts {
     }
 
     /// Instance count for one group.
-    pub fn count(&self, group: ActionGroup) -> u64 {
+    pub(crate) fn count(&self, group: ActionGroup) -> u64 {
         self.per_group.get(&group).copied().unwrap_or(0)
     }
 

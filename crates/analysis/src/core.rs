@@ -277,12 +277,12 @@ impl View {
     }
 
     /// Is `asn` connected to the RS (the §5.5 membership test)?
-    pub fn is_member(&self, asn: Asn) -> bool {
+    pub(crate) fn is_member(&self, asn: Asn) -> bool {
         self.members.contains(&asn)
     }
 
     /// Number of members with sessions.
-    pub fn member_count(&self) -> usize {
+    pub(crate) fn member_count(&self) -> usize {
         self.members.len()
     }
 
@@ -290,7 +290,7 @@ impl View {
     /// that has no session at this RS (§5.5). Evaluated against the
     /// current member set, so a member joining or leaving re-scopes
     /// Figs. 6–7 without touching any counter.
-    pub fn is_ineffective(&self, action: &Action) -> bool {
+    pub(crate) fn is_ineffective(&self, action: &Action) -> bool {
         match action.target.peer_asn() {
             Some(asn) => !self.is_member(asn),
             None => false,

@@ -78,7 +78,7 @@ pub struct Fig4b {
 impl Fig4b {
     /// Derive the figure from accumulated per-AS action-instance counts
     /// (ties rank by ascending ASN).
-    pub fn from_per_as(
+    pub(crate) fn from_per_as(
         ixp: IxpId,
         afi: Afi,
         per_as: BTreeMap<Asn, u64>,
@@ -207,7 +207,7 @@ impl Fig4c {
     /// Derive the figure from accumulated per-AS route and
     /// action-instance counts. The float divisions happen here and only
     /// here, so every caller gets bit-identical points.
-    pub fn from_counts(
+    pub(crate) fn from_counts(
         ixp: IxpId,
         afi: Afi,
         routes: &BTreeMap<Asn, u64>,

@@ -28,7 +28,7 @@ pub struct Fig1 {
 
 impl Fig1 {
     /// Derive the figure from accumulated counts.
-    pub fn from_counts(ixp: IxpId, afi: Afi, ixp_defined: u64, unknown: u64) -> Self {
+    pub(crate) fn from_counts(ixp: IxpId, afi: Afi, ixp_defined: u64, unknown: u64) -> Self {
         Fig1 {
             ixp,
             afi,
@@ -74,7 +74,13 @@ pub struct Fig2 {
 
 impl Fig2 {
     /// Derive the figure from accumulated per-type defined counts.
-    pub fn from_counts(ixp: IxpId, afi: Afi, standard: u64, extended: u64, large: u64) -> Self {
+    pub(crate) fn from_counts(
+        ixp: IxpId,
+        afi: Afi,
+        standard: u64,
+        extended: u64,
+        large: u64,
+    ) -> Self {
         Fig2 {
             ixp,
             afi,
@@ -129,7 +135,7 @@ pub struct Fig3 {
 
 impl Fig3 {
     /// Derive the figure from accumulated action/informational counts.
-    pub fn from_counts(ixp: IxpId, afi: Afi, action: u64, informational: u64) -> Self {
+    pub(crate) fn from_counts(ixp: IxpId, afi: Afi, action: u64, informational: u64) -> Self {
         Fig3 {
             ixp,
             afi,

@@ -58,7 +58,7 @@ use crate::summary::{FullReport, SnapshotReport};
 /// dictionary is behind an [`Arc`], so cloning an engine — e.g. for a
 /// benchmark baseline — shares it).
 #[derive(Clone)]
-pub struct IxpEngine {
+pub(crate) struct IxpEngine {
     dict: Arc<Dictionary>,
     v4: View,
     v6: View,
@@ -66,7 +66,7 @@ pub struct IxpEngine {
 
 impl IxpEngine {
     /// An empty engine for one IXP.
-    pub fn new(ixp: IxpId, dict: Arc<Dictionary>) -> Self {
+    pub(crate) fn new(ixp: IxpId, dict: Arc<Dictionary>) -> Self {
         IxpEngine {
             dict,
             v4: View::empty(ixp, Afi::Ipv4),
@@ -177,13 +177,13 @@ impl IxpEngine {
     /// shards' deltas into one engine) when the shards saw *disjoint
     /// peers* — the per-IXP sharding [`par`] composition uses (see
     /// `View::merge` for why the fold is associative and commutative).
-    pub fn merge(&mut self, other: &IxpEngine) {
+    pub(crate) fn merge(&mut self, other: &IxpEngine) {
         self.v4.merge(&other.v4);
         self.v6.merge(&other.v6);
     }
 
     /// Finalize one family's [`SnapshotReport`] from its running view.
-    pub fn unit_report(&self, afi: Afi, day: u32) -> SnapshotReport {
+    pub(crate) fn unit_report(&self, afi: Afi, day: u32) -> SnapshotReport {
         SnapshotReport::from_view(self.unit(afi), day)
     }
 }

@@ -36,14 +36,15 @@
     clippy::expect_used,
     clippy::panic,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::unreachable
 )]
 #![warn(missing_docs)]
 
 pub mod actions;
 pub mod core;
 pub mod fig4;
-pub mod figs_overview;
+pub(crate) mod figs_overview;
 pub mod incremental;
 pub mod overlap;
 pub mod report;
@@ -53,16 +54,16 @@ pub mod tops;
 
 /// Common re-exports.
 pub mod prelude {
-    pub use crate::actions::{table2, type_counts, Table2, TypeCounts};
+    pub use crate::actions::{table2, type_counts, Table2};
     pub use crate::core::{pct, View};
     pub use crate::fig4::{fig4a, fig4b, fig4c, Fig4a, Fig4b, Fig4c};
-    pub use crate::figs_overview::{fig1, fig2, fig3, Fig1, Fig2, Fig3};
-    pub use crate::incremental::{IncrementalReport, IxpEngine};
-    pub use crate::overlap::{target_overlap_from_tops, TargetOverlap};
+    pub use crate::figs_overview::{fig1, fig2, fig3};
+    pub use crate::incremental::IncrementalReport;
+    pub use crate::overlap::target_overlap_from_tops;
     pub use crate::report::{human_count, pct1, TextTable};
     pub use crate::summary::{full_report, FullReport, SnapshotReport};
-    pub use crate::tables::{table1_row, StabilityRow, Table1Row, Variation};
-    pub use crate::tops::{fig5, fig6, fig7, ineffective, Fig7, Ineffective, TopCommunities};
+    pub use crate::tables::{table1_row, StabilityRow};
+    pub use crate::tops::{fig5, fig6, fig7, ineffective, Ineffective, TopCommunities};
 }
 
 pub use prelude::*;

@@ -44,7 +44,7 @@ impl TargetOverlap {
     /// The targets shared by every analysed IXP (the paper: six ASes for
     /// IPv4, nine for IPv6, among them Google, LeaseWeb, Akamai and
     /// OVHcloud).
-    pub fn common(&self) -> BTreeSet<Asn> {
+    pub(crate) fn common(&self) -> BTreeSet<Asn> {
         let mut iter = self.per_ixp.iter().map(|(_, s)| s.clone());
         let Some(mut acc) = iter.next() else {
             return BTreeSet::new();

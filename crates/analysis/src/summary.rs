@@ -60,7 +60,7 @@ impl SnapshotReport {
     /// Every figure and table of one unit, read off its aggregates —
     /// the one assembly behind [`full_report`] and the incremental
     /// engine's [`unit_report`](crate::incremental::IxpEngine::unit_report).
-    pub fn from_view(view: &View, day: u32) -> Self {
+    pub(crate) fn from_view(view: &View, day: u32) -> Self {
         let b = fig4b(view);
         let c = fig4c(view);
         let fig5 = fig5(view);

@@ -53,7 +53,7 @@ impl TopCommunities {
     /// ascending value). `counts` holds only the in-scope communities
     /// (already filtered for Fig. 6); `total_all` is the count of *all*
     /// action instances, the paper's share denominator for both figures.
-    pub fn from_counts(
+    pub(crate) fn from_counts(
         ixp: IxpId,
         afi: Afi,
         counts: BTreeMap<StandardCommunity, (Action, u64)>,
@@ -200,7 +200,12 @@ pub struct Fig7 {
 impl Fig7 {
     /// Rank and label accumulated per-AS ineffective-instance counts
     /// (ties rank by ascending ASN).
-    pub fn from_per_as(ixp: IxpId, afi: Afi, per_as: BTreeMap<Asn, u64>, limit: usize) -> Self {
+    pub(crate) fn from_per_as(
+        ixp: IxpId,
+        afi: Afi,
+        per_as: BTreeMap<Asn, u64>,
+        limit: usize,
+    ) -> Self {
         let total: u64 = per_as.values().sum();
         let mut ranked: Vec<(Asn, u64)> = per_as.into_iter().collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));

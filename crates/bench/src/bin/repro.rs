@@ -248,7 +248,6 @@ fn main() {
     };
 
     let registry = obs::global();
-    registry.enable_events(4096);
     if trace_out.is_some() {
         registry.enable_tracing();
         let _ = registry.take_trace_spans(); // fresh trace epoch

@@ -20,11 +20,6 @@ pub const AS_TRANS: Asn = Asn(23456);
 pub struct Asn(pub u32);
 
 impl Asn {
-    /// Construct an ASN from a raw 32-bit value.
-    pub const fn new(value: u32) -> Self {
-        Asn(value)
-    }
-
     /// The raw numeric value.
     pub const fn value(self) -> u32 {
         self.0
@@ -36,29 +31,29 @@ impl Asn {
     }
 
     /// AS 0 is reserved and must never appear in routing (RFC 7607).
-    pub const fn is_reserved_zero(self) -> bool {
+    pub(crate) const fn is_reserved_zero(self) -> bool {
         self.0 == 0
     }
 
     /// Private-use ASNs: 64512–65534 (RFC 6996) and
     /// 4200000000–4294967294 (RFC 6996 §5).
-    pub const fn is_private(self) -> bool {
+    pub(crate) const fn is_private(self) -> bool {
         (self.0 >= 64512 && self.0 <= 65534) || (self.0 >= 4_200_000_000 && self.0 <= 4_294_967_294)
     }
 
     /// Documentation-only ASNs: 64496–64511 and 65536–65551 (RFC 5398).
-    pub const fn is_documentation(self) -> bool {
+    pub(crate) const fn is_documentation(self) -> bool {
         (self.0 >= 64496 && self.0 <= 64511) || (self.0 >= 65536 && self.0 <= 65551)
     }
 
     /// 65535 and 4294967295 are reserved (RFC 7300); 65535 also hosts the
     /// well-known community prefix space.
-    pub const fn is_reserved_last(self) -> bool {
+    pub(crate) const fn is_reserved_last(self) -> bool {
         self.0 == 65535 || self.0 == u32::MAX
     }
 
     /// The AS_TRANS placeholder (RFC 6793).
-    pub const fn is_as_trans(self) -> bool {
+    pub(crate) const fn is_as_trans(self) -> bool {
         self.0 == AS_TRANS.0
     }
 

@@ -35,7 +35,7 @@ impl Segment {
 
     /// Path-length contribution per RFC 4271 §9.1.2.2: a sequence counts
     /// each ASN, a set counts as one.
-    pub fn path_len(&self) -> usize {
+    pub(crate) fn path_len(&self) -> usize {
         match self {
             Segment::Sequence(v) => v.len(),
             Segment::Set(v) => usize::from(!v.is_empty()),
@@ -51,7 +51,7 @@ pub struct AsPath {
 
 impl AsPath {
     /// The empty path (as originated into iBGP; never valid at an IXP RS).
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         AsPath::default()
     }
 
@@ -83,11 +83,6 @@ impl AsPath {
         self.segments.iter().map(Segment::path_len).sum()
     }
 
-    /// Total number of ASN slots (prepends included, sets expanded).
-    pub fn asn_count(&self) -> usize {
-        self.segments.iter().map(|s| s.asns().len()).sum()
-    }
-
     /// The leftmost ASN: the neighbor that announced us the route.
     pub fn first_asn(&self) -> Option<Asn> {
         self.segments.iter().find_map(|s| s.asns().first().copied())
@@ -114,17 +109,6 @@ impl AsPath {
         self.segments.iter().flat_map(|s| s.asns().iter().copied())
     }
 
-    /// Unique ASNs in order of first appearance.
-    pub fn unique_asns(&self) -> Vec<Asn> {
-        let mut seen = Vec::new();
-        for asn in self.iter_asns() {
-            if !seen.contains(&asn) {
-                seen.push(asn);
-            }
-        }
-        seen
-    }
-
     /// Prepend `asn` `count` times at the front, merging into an existing
     /// leading sequence. This is what the RS does when executing a
     /// `prepend-to` action community before exporting to the target peer.
@@ -142,17 +126,6 @@ impl AsPath {
             _ => segments.insert(0, Segment::Sequence(vec![asn; count])),
         }
         AsPath { segments }
-    }
-
-    /// Number of leading repetitions of the first ASN (detects prepending).
-    pub fn leading_prepend_count(&self) -> usize {
-        match self.segments.first() {
-            Some(Segment::Sequence(v)) => {
-                let Some(first) = v.first() else { return 0 };
-                v.iter().take_while(|a| *a == first).count()
-            }
-            _ => 0,
-        }
     }
 }
 
@@ -199,7 +172,6 @@ mod tests {
         assert_eq!(p.first_asn(), Some(Asn(64496)));
         assert_eq!(p.origin_asn(), Some(Asn(15169)));
         assert_eq!(p.path_len(), 3);
-        assert_eq!(p.asn_count(), 3);
         assert!(p.contains(Asn(3356)));
         assert!(!p.contains(Asn(1)));
     }
@@ -220,8 +192,7 @@ mod tests {
             Segment::Set(vec![Asn(300), Asn(400), Asn(500)]),
         ]);
         assert_eq!(p.path_len(), 3); // 2 + 1
-        assert_eq!(p.asn_count(), 5);
-        // origin undefined when path ends in a set
+                                     // origin undefined when path ends in a set
         assert_eq!(p.origin_asn(), None);
     }
 
@@ -231,7 +202,6 @@ mod tests {
         let q = p.prepend(Asn(100), 2);
         assert_eq!(q, path(&[100, 100, 100, 200]));
         assert_eq!(q.path_len(), 4);
-        assert_eq!(q.leading_prepend_count(), 3);
         // original untouched
         assert_eq!(p.path_len(), 2);
     }
@@ -257,11 +227,5 @@ mod tests {
             Segment::Set(vec![Asn(15169), Asn(8075)]),
         ]);
         assert_eq!(p.to_string(), "64496 3356 {15169,8075}");
-    }
-
-    #[test]
-    fn unique_asns_dedupes_prepends() {
-        let p = path(&[100, 100, 100, 200, 300]);
-        assert_eq!(p.unique_asns(), vec![Asn(100), Asn(200), Asn(300)]);
     }
 }

@@ -28,12 +28,6 @@ pub mod well_known {
     pub const BLACKHOLE: StandardCommunity = StandardCommunity(0xFFFF_029A);
     /// NO_EXPORT (RFC 1997), 65535:65281.
     pub const NO_EXPORT: StandardCommunity = StandardCommunity(0xFFFF_FF01);
-    /// NO_ADVERTISE (RFC 1997), 65535:65282.
-    pub const NO_ADVERTISE: StandardCommunity = StandardCommunity(0xFFFF_FF02);
-    /// NO_EXPORT_SUBCONFED (RFC 1997), 65535:65283.
-    pub const NO_EXPORT_SUBCONFED: StandardCommunity = StandardCommunity(0xFFFF_FF03);
-    /// NOPEER (RFC 3765), 65535:65284.
-    pub const NOPEER: StandardCommunity = StandardCommunity(0xFFFF_FF04);
 }
 
 impl StandardCommunity {
@@ -50,18 +44,6 @@ impl StandardCommunity {
     /// The low 16 bits (conventionally the operator-defined value).
     pub const fn low(self) -> u16 {
         self.0 as u16
-    }
-
-    /// The high part interpreted as a (16-bit) ASN.
-    pub const fn asn(self) -> Asn {
-        Asn(self.high() as u32)
-    }
-
-    /// True for the reserved well-known space 65535:* and 0:* per RFC 1997
-    /// ("communities with the first two octets 0x0000 or 0xFFFF are
-    /// reserved").
-    pub const fn is_reserved_space(self) -> bool {
-        self.high() == 0 || self.high() == 0xFFFF
     }
 
     /// RFC 7999 BLACKHOLE.
@@ -153,16 +135,6 @@ impl ExtendedCommunity {
         ExtendedCommunity(b)
     }
 
-    /// Build a transitive four-octet-AS-specific extended community.
-    pub fn four_octet_as(subtype: u8, asn: u32, local: u16) -> Self {
-        let mut b = [0u8; 8];
-        b[0] = 0x02;
-        b[1] = subtype;
-        b[2..6].copy_from_slice(&asn.to_be_bytes());
-        b[6..8].copy_from_slice(&local.to_be_bytes());
-        ExtendedCommunity(b)
-    }
-
     /// Decode the type structure.
     pub fn kind(&self) -> ExtendedKind {
         let b = &self.0;
@@ -231,11 +203,6 @@ impl LargeCommunity {
             data2,
         }
     }
-
-    /// The global administrator as an ASN.
-    pub const fn asn(&self) -> Asn {
-        Asn(self.global)
-    }
 }
 
 impl fmt::Display for LargeCommunity {
@@ -259,27 +226,6 @@ impl FromStr for LargeCommunity {
     }
 }
 
-/// Structural type of a community, used by the paper's Fig. 2 breakdown.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub enum CommunityType {
-    /// RFC 1997 standard.
-    Standard,
-    /// RFC 4360 extended.
-    Extended,
-    /// RFC 8092 large.
-    Large,
-}
-
-impl fmt::Display for CommunityType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CommunityType::Standard => write!(f, "standard"),
-            CommunityType::Extended => write!(f, "extended"),
-            CommunityType::Large => write!(f, "large"),
-        }
-    }
-}
-
 /// Any community attached to a route.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Community {
@@ -289,25 +235,6 @@ pub enum Community {
     Extended(ExtendedCommunity),
     /// RFC 8092.
     Large(LargeCommunity),
-}
-
-impl Community {
-    /// Structural type (for the Fig. 2 breakdown).
-    pub const fn community_type(&self) -> CommunityType {
-        match self {
-            Community::Standard(_) => CommunityType::Standard,
-            Community::Extended(_) => CommunityType::Extended,
-            Community::Large(_) => CommunityType::Large,
-        }
-    }
-
-    /// Convenience: the standard community inside, if any.
-    pub const fn as_standard(&self) -> Option<StandardCommunity> {
-        match self {
-            Community::Standard(c) => Some(*c),
-            _ => None,
-        }
-    }
 }
 
 impl From<StandardCommunity> for Community {
@@ -455,9 +382,6 @@ mod tests {
         assert_eq!(well_known::NO_EXPORT.to_string(), "65535:65281");
         assert_eq!(well_known::BLACKHOLE.to_string(), "65535:666");
         assert!(well_known::BLACKHOLE.is_blackhole());
-        assert!(well_known::NO_EXPORT.is_reserved_space());
-        assert!(StandardCommunity::from_parts(0, 6939).is_reserved_space());
-        assert!(!StandardCommunity::from_parts(6695, 0).is_reserved_space());
     }
 
     #[test]
@@ -481,7 +405,8 @@ mod tests {
 
     #[test]
     fn extended_four_octet_roundtrip() {
-        let e = ExtendedCommunity::four_octet_as(0x05, 263075, 300);
+        // type 0x02, subtype 0x05, AS 263075, local 300
+        let e = ExtendedCommunity([0x02, 0x05, 0x00, 0x04, 0x03, 0xA3, 0x01, 0x2C]);
         match e.kind() {
             ExtendedKind::FourOctetAsSpecific {
                 transitive,
@@ -517,22 +442,6 @@ mod tests {
         assert_eq!(l.to_string(), "6695:100:65001");
         assert!("1:2".parse::<LargeCommunity>().is_err());
         assert!("1:2:3:4".parse::<LargeCommunity>().is_err());
-    }
-
-    #[test]
-    fn community_type_tags() {
-        assert_eq!(
-            Community::from(well_known::BLACKHOLE).community_type(),
-            CommunityType::Standard
-        );
-        assert_eq!(
-            Community::from(LargeCommunity::new(1, 2, 3)).community_type(),
-            CommunityType::Large
-        );
-        assert_eq!(
-            Community::from(ExtendedCommunity::two_octet_as(2, 1, 1)).community_type(),
-            CommunityType::Extended
-        );
     }
 
     #[test]

@@ -30,7 +30,8 @@
     clippy::expect_used,
     clippy::panic,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::unreachable
 )]
 #![warn(missing_docs)]
 
@@ -46,7 +47,7 @@ pub mod prelude {
     pub use crate::asn::Asn;
     pub use crate::aspath::{AsPath, Segment};
     pub use crate::community::{
-        well_known, Community, CommunityType, ExtendedCommunity, LargeCommunity, StandardCommunity,
+        well_known, Community, ExtendedCommunity, LargeCommunity, StandardCommunity,
     };
     pub use crate::prefix::{Afi, Prefix};
     pub use crate::rib::{AdjRibIn, PeerRib};

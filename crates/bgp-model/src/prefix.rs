@@ -137,22 +137,6 @@ impl Prefix {
         Prefix::new(IpAddr::V4(Ipv4Addr::new(a, b, c, d)), len)
     }
 
-    /// Create an IPv6 prefix from segments.
-    #[allow(clippy::too_many_arguments)]
-    pub fn v6(
-        a: u16,
-        b: u16,
-        c: u16,
-        d: u16,
-        e: u16,
-        f: u16,
-        g: u16,
-        h: u16,
-        len: u8,
-    ) -> Result<Self, PrefixError> {
-        Prefix::new(IpAddr::V6(Ipv6Addr::new(a, b, c, d, e, f, g, h)), len)
-    }
-
     /// The (canonicalized) network address.
     pub const fn addr(&self) -> IpAddr {
         self.addr
@@ -189,7 +173,7 @@ impl Prefix {
     }
 
     /// True if the given host address falls inside this prefix.
-    pub fn contains_addr(&self, addr: IpAddr) -> bool {
+    pub(crate) fn contains_addr(&self, addr: IpAddr) -> bool {
         match (self.addr, addr) {
             (IpAddr::V4(_), IpAddr::V4(_)) | (IpAddr::V6(_), IpAddr::V6(_)) => {
                 mask_addr(addr, self.len) == self.addr

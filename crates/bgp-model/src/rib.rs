@@ -140,11 +140,6 @@ impl AdjRibIn {
         self.tables.keys().copied()
     }
 
-    /// Number of peers.
-    pub fn peer_count(&self) -> usize {
-        self.tables.len()
-    }
-
     /// Total route count across peers.
     pub fn route_count(&self) -> usize {
         self.tables.values().map(PeerRib::len).sum()
@@ -229,7 +224,7 @@ mod tests {
         rib.announce(Asn(100), route("203.0.113.0/24", 100));
         rib.announce(Asn(100), route("198.51.100.0/24", 100));
         rib.announce(Asn(200), route("203.0.113.0/24", 200));
-        assert_eq!(rib.peer_count(), 3);
+        assert_eq!(rib.peers().count(), 3);
         assert_eq!(rib.route_count(), 3);
         assert_eq!(rib.distinct_prefixes(), 2);
         assert_eq!(rib.iter().count(), 3);
@@ -242,7 +237,7 @@ mod tests {
         rib.announce(Asn(100), route("203.0.113.0/24", 100));
         let table = rib.remove_peer(Asn(100)).unwrap();
         assert_eq!(table.len(), 1);
-        assert_eq!(rib.peer_count(), 0);
+        assert_eq!(rib.peers().count(), 0);
         assert!(rib
             .withdraw(Asn(100), &"203.0.113.0/24".parse().unwrap())
             .is_none());

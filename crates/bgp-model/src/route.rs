@@ -140,24 +140,18 @@ pub struct RouteBuilder {
     next_hop: IpAddr,
     as_path: AsPath,
     origin: Origin,
-    med: Option<u32>,
     standard: Vec<StandardCommunity>,
-    extended: Vec<ExtendedCommunity>,
-    large: Vec<LargeCommunity>,
 }
 
 impl RouteBuilder {
     /// New builder with mandatory fields.
-    pub fn new(prefix: Prefix, next_hop: IpAddr) -> Self {
+    pub(crate) fn new(prefix: Prefix, next_hop: IpAddr) -> Self {
         RouteBuilder {
             prefix,
             next_hop,
             as_path: AsPath::empty(),
             origin: Origin::Igp,
-            med: None,
             standard: Vec::new(),
-            extended: Vec::new(),
-            large: Vec::new(),
         }
     }
 
@@ -179,12 +173,6 @@ impl RouteBuilder {
         self
     }
 
-    /// Set the MED.
-    pub fn med(mut self, med: u32) -> Self {
-        self.med = Some(med);
-        self
-    }
-
     /// Add one standard community.
     pub fn standard(mut self, c: StandardCommunity) -> Self {
         self.standard.push(c);
@@ -197,18 +185,6 @@ impl RouteBuilder {
         self
     }
 
-    /// Add one extended community.
-    pub fn extended(mut self, c: ExtendedCommunity) -> Self {
-        self.extended.push(c);
-        self
-    }
-
-    /// Add one large community.
-    pub fn large(mut self, c: LargeCommunity) -> Self {
-        self.large.push(c);
-        self
-    }
-
     /// Finish.
     pub fn build(self) -> Route {
         Route {
@@ -216,10 +192,10 @@ impl RouteBuilder {
             next_hop: self.next_hop,
             as_path: self.as_path,
             origin: self.origin,
-            med: self.med,
+            med: None,
             standard_communities: self.standard,
-            extended_communities: self.extended,
-            large_communities: self.large,
+            extended_communities: Vec::new(),
+            large_communities: Vec::new(),
         }
     }
 }
@@ -230,7 +206,7 @@ mod tests {
     use crate::community::well_known;
 
     fn sample() -> Route {
-        Route::builder(
+        let mut r = Route::builder(
             "203.0.113.0/24".parse().unwrap(),
             "198.32.0.7".parse().unwrap(),
         )
@@ -238,8 +214,10 @@ mod tests {
         .origin(Origin::Igp)
         .standard(StandardCommunity::from_parts(0, 6939))
         .standard(well_known::NO_EXPORT)
-        .large(LargeCommunity::new(26162, 0, 6939))
-        .build()
+        .build();
+        r.large_communities
+            .push(LargeCommunity::new(26162, 0, 6939));
+        r
     }
 
     #[test]

@@ -20,40 +20,38 @@ use crate::error::{ensure, WireError};
 use crate::nlri;
 
 /// Attribute flag: optional (vs well-known).
-pub const FLAG_OPTIONAL: u8 = 0x80;
+pub(crate) const FLAG_OPTIONAL: u8 = 0x80;
 /// Attribute flag: transitive.
-pub const FLAG_TRANSITIVE: u8 = 0x40;
-/// Attribute flag: partial.
-pub const FLAG_PARTIAL: u8 = 0x20;
+pub(crate) const FLAG_TRANSITIVE: u8 = 0x40;
 /// Attribute flag: two-byte length field follows.
-pub const FLAG_EXTENDED_LENGTH: u8 = 0x10;
+pub(crate) const FLAG_EXTENDED_LENGTH: u8 = 0x10;
 
 /// Attribute type codes.
 pub mod code {
     /// ORIGIN.
-    pub const ORIGIN: u8 = 1;
+    pub(crate) const ORIGIN: u8 = 1;
     /// AS_PATH.
-    pub const AS_PATH: u8 = 2;
+    pub(crate) const AS_PATH: u8 = 2;
     /// NEXT_HOP.
-    pub const NEXT_HOP: u8 = 3;
+    pub(crate) const NEXT_HOP: u8 = 3;
     /// MULTI_EXIT_DISC.
-    pub const MED: u8 = 4;
+    pub(crate) const MED: u8 = 4;
     /// LOCAL_PREF.
-    pub const LOCAL_PREF: u8 = 5;
+    pub(crate) const LOCAL_PREF: u8 = 5;
     /// ATOMIC_AGGREGATE.
-    pub const ATOMIC_AGGREGATE: u8 = 6;
+    pub(crate) const ATOMIC_AGGREGATE: u8 = 6;
     /// AGGREGATOR.
-    pub const AGGREGATOR: u8 = 7;
+    pub(crate) const AGGREGATOR: u8 = 7;
     /// COMMUNITIES (RFC 1997).
-    pub const COMMUNITIES: u8 = 8;
+    pub(crate) const COMMUNITIES: u8 = 8;
     /// MP_REACH_NLRI (RFC 4760).
-    pub const MP_REACH_NLRI: u8 = 14;
+    pub(crate) const MP_REACH_NLRI: u8 = 14;
     /// MP_UNREACH_NLRI (RFC 4760).
-    pub const MP_UNREACH_NLRI: u8 = 15;
+    pub(crate) const MP_UNREACH_NLRI: u8 = 15;
     /// EXTENDED_COMMUNITIES (RFC 4360).
-    pub const EXTENDED_COMMUNITIES: u8 = 16;
+    pub(crate) const EXTENDED_COMMUNITIES: u8 = 16;
     /// LARGE_COMMUNITIES (RFC 8092).
-    pub const LARGE_COMMUNITIES: u8 = 32;
+    pub(crate) const LARGE_COMMUNITIES: u8 = 32;
 }
 
 /// MP_REACH_NLRI payload (RFC 4760 §3). SAFI is always 1 (unicast) here.
@@ -121,7 +119,7 @@ pub enum PathAttribute {
 
 impl PathAttribute {
     /// The attribute type code this variant encodes to.
-    pub fn type_code(&self) -> u8 {
+    pub(crate) fn type_code(&self) -> u8 {
         match self {
             PathAttribute::Origin(_) => code::ORIGIN,
             PathAttribute::AsPath(_) => code::AS_PATH,
@@ -147,7 +145,7 @@ impl PathAttribute {
     }
 
     /// Encode this attribute (flags, type, length, value).
-    pub fn encode(&self, out: &mut impl BufMut) {
+    pub(crate) fn encode(&self, out: &mut impl BufMut) {
         let mut value = BytesMut::new();
         self.encode_value(&mut value);
         let mut flags = self.default_flags();
@@ -189,7 +187,7 @@ impl PathAttribute {
     }
 
     /// Decode one attribute from the front of `buf`.
-    pub fn decode(buf: &mut Bytes) -> Result<PathAttribute, WireError> {
+    pub(crate) fn decode(buf: &mut Bytes) -> Result<PathAttribute, WireError> {
         ensure(buf, 2, "attribute flags/type")?;
         let flags = buf.get_u8();
         let typ = buf.get_u8();
@@ -464,7 +462,10 @@ pub(crate) fn put_mp_reach(afi: Afi, next_hop: IpAddr, nlri: &[Prefix], out: &mu
 }
 
 /// Decode a full attribute block of `len` bytes from `buf`.
-pub fn decode_attributes(buf: &mut Bytes, len: usize) -> Result<Vec<PathAttribute>, WireError> {
+pub(crate) fn decode_attributes(
+    buf: &mut Bytes,
+    len: usize,
+) -> Result<Vec<PathAttribute>, WireError> {
     ensure(buf, len, "path attribute block")?;
     let mut block = buf.split_to(len);
     let mut attrs = Vec::new();
@@ -475,7 +476,7 @@ pub fn decode_attributes(buf: &mut Bytes, len: usize) -> Result<Vec<PathAttribut
 }
 
 /// Encode a full attribute block, returning its bytes.
-pub fn encode_attributes(attrs: &[PathAttribute]) -> BytesMut {
+pub(crate) fn encode_attributes(attrs: &[PathAttribute]) -> BytesMut {
     let mut out = BytesMut::new();
     for a in attrs {
         a.encode(&mut out);
@@ -602,7 +603,7 @@ mod tests {
     #[test]
     fn unknown_attr_preserved() {
         roundtrip(PathAttribute::Unknown {
-            flags: FLAG_OPTIONAL | FLAG_TRANSITIVE | FLAG_PARTIAL,
+            flags: FLAG_OPTIONAL | FLAG_TRANSITIVE | 0x20, // partial
             code: 99,
             value: Bytes::from_static(&[1, 2, 3, 4]),
         });

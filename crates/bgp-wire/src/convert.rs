@@ -170,7 +170,7 @@ fn announce(first: &Route, prefixes: Vec<Prefix>) -> UpdateMessage {
 /// byte for byte `encode_attributes(&routes_to_update(&[route]).attributes)`
 /// — straight from the route, cloning and buffering nothing. An MRT RIB
 /// entry is exactly this block.
-pub fn encode_route_attributes(route: &Route, out: &mut BytesMut) {
+pub(crate) fn encode_route_attributes(route: &Route, out: &mut BytesMut) {
     attrs::put_attribute(out, code::ORIGIN, |v| v.put_u8(route.origin.code()));
     attrs::put_attribute(out, code::AS_PATH, |v| {
         attrs::put_as_path(&route.as_path, v)

@@ -258,10 +258,7 @@ impl Fsm {
                 self.peer_open = Some(open);
                 self.state = State::OpenConfirm;
                 self.last_tx_ms = self.now_ms;
-                match Message::Keepalive.encode() {
-                    Ok(b) => vec![Action::Send(b)],
-                    Err(_) => unreachable!("keepalive always encodes"),
-                }
+                vec![Action::Send(Message::keepalive_frame())]
             }
             (State::OpenConfirm, Message::Keepalive) => match self.peer_open.clone() {
                 Some(open) => {
@@ -316,10 +313,7 @@ impl Fsm {
         let keepalive_ms = self.negotiated_hold_ms / 3;
         if now_ms.saturating_sub(self.last_tx_ms) >= keepalive_ms {
             self.last_tx_ms = now_ms;
-            return match Message::Keepalive.encode() {
-                Ok(b) => vec![Action::Send(b)],
-                Err(_) => unreachable!("keepalive always encodes"),
-            };
+            return vec![Action::Send(Message::keepalive_frame())];
         }
         vec![]
     }

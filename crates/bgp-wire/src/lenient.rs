@@ -246,7 +246,11 @@ mod tests {
         ));
         // the announcement survives, just without communities
         assert_eq!(lenient.update.nlri, update.nlri);
-        assert!(lenient.update.attribute(attrs::code::COMMUNITIES).is_none());
+        assert!(!lenient
+            .update
+            .attributes
+            .iter()
+            .any(|a| a.type_code() == attrs::code::COMMUNITIES));
     }
 
     #[test]

@@ -41,7 +41,8 @@
     clippy::expect_used,
     clippy::panic,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::unreachable
 )]
 #![warn(missing_docs)]
 
@@ -53,7 +54,7 @@ pub mod lenient;
 pub mod message;
 mod metrics;
 pub mod mrt;
-pub mod nlri;
+pub(crate) mod nlri;
 
 pub use error::WireError;
 pub use message::{Message, NotificationMessage, OpenMessage, UpdateMessage};

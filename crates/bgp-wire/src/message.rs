@@ -14,22 +14,22 @@ use crate::error::{ensure, WireError};
 use crate::nlri;
 
 /// Fixed header size (16-byte marker + 2 length + 1 type).
-pub const HEADER_LEN: usize = 19;
+pub(crate) const HEADER_LEN: usize = 19;
 /// Maximum BGP message size (RFC 4271; we do not implement RFC 8654).
-pub const MAX_MESSAGE_LEN: usize = 4096;
+pub(crate) const MAX_MESSAGE_LEN: usize = 4096;
 
 /// Message type byte values.
-pub mod msg_type {
+pub(crate) mod msg_type {
     /// OPEN.
-    pub const OPEN: u8 = 1;
+    pub(crate) const OPEN: u8 = 1;
     /// UPDATE.
-    pub const UPDATE: u8 = 2;
+    pub(crate) const UPDATE: u8 = 2;
     /// NOTIFICATION.
-    pub const NOTIFICATION: u8 = 3;
+    pub(crate) const NOTIFICATION: u8 = 3;
     /// KEEPALIVE.
-    pub const KEEPALIVE: u8 = 4;
+    pub(crate) const KEEPALIVE: u8 = 4;
     /// ROUTE-REFRESH (RFC 2918).
-    pub const ROUTE_REFRESH: u8 = 5;
+    pub(crate) const ROUTE_REFRESH: u8 = 5;
 }
 
 /// A capability advertised in OPEN (RFC 5492 optional parameter 2).
@@ -64,7 +64,7 @@ pub struct OpenMessage {
 impl OpenMessage {
     /// A typical route-server OPEN: 4-octet AS + multiprotocol for both
     /// families.
-    pub fn route_server(asn: Asn, bgp_id: Ipv4Addr, hold_time: u16) -> Self {
+    pub(crate) fn route_server(asn: Asn, bgp_id: Ipv4Addr, hold_time: u16) -> Self {
         OpenMessage {
             asn,
             hold_time,
@@ -88,13 +88,6 @@ impl OpenMessage {
             })
             .unwrap_or(self.asn)
     }
-
-    /// True if the peer advertised multiprotocol support for `afi`.
-    pub fn supports(&self, afi: Afi) -> bool {
-        self.capabilities
-            .iter()
-            .any(|c| matches!(c, Capability::Multiprotocol(a) if *a == afi))
-    }
 }
 
 /// UPDATE message: withdrawn IPv4 routes, path attributes, IPv4 NLRI.
@@ -107,40 +100,6 @@ pub struct UpdateMessage {
     pub attributes: Vec<PathAttribute>,
     /// Announced IPv4 prefixes.
     pub nlri: Vec<Prefix>,
-}
-
-impl UpdateMessage {
-    /// An end-of-RIB marker for the given family (RFC 4724 §2).
-    pub fn end_of_rib(afi: Afi) -> Self {
-        match afi {
-            Afi::Ipv4 => UpdateMessage::default(),
-            Afi::Ipv6 => UpdateMessage {
-                withdrawn: vec![],
-                attributes: vec![PathAttribute::MpUnreach(attrs::MpUnreach {
-                    afi: Afi::Ipv6,
-                    withdrawn: vec![],
-                })],
-                nlri: vec![],
-            },
-        }
-    }
-
-    /// True if this is an end-of-RIB marker.
-    pub fn is_end_of_rib(&self) -> bool {
-        if !self.withdrawn.is_empty() || !self.nlri.is_empty() {
-            return false;
-        }
-        match self.attributes.as_slice() {
-            [] => true,
-            [PathAttribute::MpUnreach(mp)] => mp.withdrawn.is_empty(),
-            _ => false,
-        }
-    }
-
-    /// Find an attribute by type code.
-    pub fn attribute(&self, code: u8) -> Option<&PathAttribute> {
-        self.attributes.iter().find(|a| a.type_code() == code)
-    }
 }
 
 /// NOTIFICATION error codes (RFC 4271 §6).
@@ -162,7 +121,7 @@ pub enum NotificationCode {
 
 impl NotificationCode {
     /// Wire code.
-    pub const fn code(self) -> u8 {
+    pub(crate) const fn code(self) -> u8 {
         match self {
             NotificationCode::MessageHeader => 1,
             NotificationCode::OpenMessage => 2,
@@ -174,7 +133,7 @@ impl NotificationCode {
     }
 
     /// From wire code.
-    pub const fn from_code(code: u8) -> Option<Self> {
+    pub(crate) const fn from_code(code: u8) -> Option<Self> {
         match code {
             1 => Some(NotificationCode::MessageHeader),
             2 => Some(NotificationCode::OpenMessage),
@@ -196,17 +155,6 @@ pub struct NotificationMessage {
     pub subcode: u8,
     /// Diagnostic data.
     pub data: Bytes,
-}
-
-impl NotificationMessage {
-    /// A cease with no data.
-    pub fn cease(subcode: u8) -> Self {
-        NotificationMessage {
-            code: NotificationCode::Cease,
-            subcode,
-            data: Bytes::new(),
-        }
-    }
 }
 
 /// Any BGP message.
@@ -324,6 +272,18 @@ impl Message {
         m.msgs_encoded.inc();
         m.bytes_encoded.add(frame.len() as u64);
         Ok(frame)
+    }
+
+    /// The KEEPALIVE frame: a bare header (RFC 4271 §4.4). It has no
+    /// body, so unlike [`Message::encode`] it cannot fail.
+    pub(crate) fn keepalive_frame() -> Bytes {
+        let mut frame = [0xFF; HEADER_LEN];
+        frame[16..18].copy_from_slice(&(HEADER_LEN as u16).to_be_bytes());
+        frame[18] = msg_type::KEEPALIVE;
+        let m = crate::metrics::handles();
+        m.msgs_encoded.inc();
+        m.bytes_encoded.add(HEADER_LEN as u64);
+        Bytes::from(&frame[..])
     }
 
     /// Decode one message from the front of `buf`, consuming exactly its
@@ -494,6 +454,7 @@ mod tests {
         assert_eq!(roundtrip(Message::Keepalive), Message::Keepalive);
         let wire = Message::Keepalive.encode().unwrap();
         assert_eq!(wire.len(), HEADER_LEN);
+        assert_eq!(Message::keepalive_frame(), wire);
     }
 
     #[test]
@@ -505,8 +466,7 @@ mod tests {
                 assert_eq!(o.effective_asn(), Asn(6695));
                 assert_eq!(o.asn, Asn(6695));
                 assert_eq!(o.hold_time, 90);
-                assert!(o.supports(Afi::Ipv4));
-                assert!(o.supports(Afi::Ipv6));
+                assert_eq!(o.capabilities, open.capabilities);
             }
             m => panic!("wrong message {m:?}"),
         }
@@ -569,16 +529,22 @@ mod tests {
 
     #[test]
     fn end_of_rib_markers() {
-        let v4 = UpdateMessage::end_of_rib(Afi::Ipv4);
-        assert!(v4.is_end_of_rib());
-        let v6 = UpdateMessage::end_of_rib(Afi::Ipv6);
-        assert!(v6.is_end_of_rib());
-        assert_eq!(roundtrip(Message::Update(v6.clone())), Message::Update(v6));
-        let real = UpdateMessage {
-            nlri: vec!["203.0.113.0/24".parse().unwrap()],
+        // RFC 4724 §2: an empty UPDATE (IPv4) and an UPDATE carrying only
+        // an empty MP_UNREACH_NLRI (IPv6) survive the codec unchanged
+        let v4 = UpdateMessage::default();
+        let v6 = UpdateMessage {
+            attributes: vec![PathAttribute::MpUnreach(attrs::MpUnreach {
+                afi: Afi::Ipv6,
+                withdrawn: vec![],
+            })],
             ..Default::default()
         };
-        assert!(!real.is_end_of_rib());
+        for eor in [v4, v6] {
+            assert_eq!(
+                roundtrip(Message::Update(eor.clone())),
+                Message::Update(eor)
+            );
+        }
     }
 
     #[test]

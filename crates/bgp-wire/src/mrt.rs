@@ -22,13 +22,13 @@ use crate::message::UpdateMessage;
 use crate::nlri;
 
 /// MRT type for TABLE_DUMP_V2.
-pub const MRT_TABLE_DUMP_V2: u16 = 13;
+pub(crate) const MRT_TABLE_DUMP_V2: u16 = 13;
 /// Subtype: peer index table.
-pub const SUBTYPE_PEER_INDEX_TABLE: u16 = 1;
+pub(crate) const SUBTYPE_PEER_INDEX_TABLE: u16 = 1;
 /// Subtype: IPv4 unicast RIB.
-pub const SUBTYPE_RIB_IPV4_UNICAST: u16 = 2;
+pub(crate) const SUBTYPE_RIB_IPV4_UNICAST: u16 = 2;
 /// Subtype: IPv6 unicast RIB.
-pub const SUBTYPE_RIB_IPV6_UNICAST: u16 = 4;
+pub(crate) const SUBTYPE_RIB_IPV6_UNICAST: u16 = 4;
 
 /// One peer in the index table.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -9,7 +9,7 @@ use bgp_model::prefix::{Afi, Prefix};
 use crate::error::{ensure, WireError};
 
 /// Encode one prefix: 1 length byte + ceil(len/8) address octets.
-pub fn encode_prefix(prefix: &Prefix, out: &mut impl BufMut) {
+pub(crate) fn encode_prefix(prefix: &Prefix, out: &mut impl BufMut) {
     out.put_u8(prefix.len());
     let nbytes = (prefix.len() as usize).div_ceil(8);
     match prefix.addr() {
@@ -19,7 +19,7 @@ pub fn encode_prefix(prefix: &Prefix, out: &mut impl BufMut) {
 }
 
 /// Decode one prefix of the given family.
-pub fn decode_prefix(buf: &mut impl Buf, afi: Afi) -> Result<Prefix, WireError> {
+pub(crate) fn decode_prefix(buf: &mut impl Buf, afi: Afi) -> Result<Prefix, WireError> {
     ensure(buf, 1, "NLRI length byte")?;
     let len = buf.get_u8();
     if len > afi.max_len() {
@@ -45,7 +45,7 @@ pub fn decode_prefix(buf: &mut impl Buf, afi: Afi) -> Result<Prefix, WireError> 
 }
 
 /// Decode a run of prefixes until the buffer is exhausted.
-pub fn decode_prefixes(buf: &mut impl Buf, afi: Afi) -> Result<Vec<Prefix>, WireError> {
+pub(crate) fn decode_prefixes(buf: &mut impl Buf, afi: Afi) -> Result<Vec<Prefix>, WireError> {
     let mut out = Vec::new();
     while buf.has_remaining() {
         out.push(decode_prefix(buf, afi)?);
@@ -54,7 +54,7 @@ pub fn decode_prefixes(buf: &mut impl Buf, afi: Afi) -> Result<Vec<Prefix>, Wire
 }
 
 /// Encode a run of prefixes.
-pub fn encode_prefixes(prefixes: &[Prefix], out: &mut impl BufMut) {
+pub(crate) fn encode_prefixes(prefixes: &[Prefix], out: &mut impl BufMut) {
     for p in prefixes {
         encode_prefix(p, out);
     }

@@ -37,7 +37,7 @@ pub const DAY_MS: u64 = 3_600_000;
 
 /// The logical-time budget one day's collection may consume before the
 /// `DayOverran` oracle fires (half the day spacing).
-pub const DAY_BUDGET_MS: u64 = DAY_MS / 2;
+pub(crate) const DAY_BUDGET_MS: u64 = DAY_MS / 2;
 
 /// Campaign shape: which world, how many days, which family.
 #[derive(Debug, Clone)]
@@ -145,7 +145,7 @@ pub struct CampaignOutcome {
 /// FNV-1a, 64 bit: the dataset fingerprint. Stable across runs and
 /// platforms; collisions are irrelevant because the oracle only compares
 /// hashes of runs that must be *identical*.
-pub fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
     for b in bytes {
         hash ^= u64::from(*b);
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
@@ -156,7 +156,7 @@ pub fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 /// FNV-1a fingerprint of one serialized snapshot.
-pub fn snapshot_fingerprint(snap: &looking_glass::snapshot::Snapshot) -> u64 {
+pub(crate) fn snapshot_fingerprint(snap: &looking_glass::snapshot::Snapshot) -> u64 {
     match serde_json::to_vec(snap) {
         Ok(bytes) => fnv1a(&bytes, FNV_OFFSET),
         Err(_) => fnv1a(b"<unserializable>", FNV_OFFSET),

@@ -58,7 +58,7 @@ impl InjectStats {
 }
 
 /// A fault-injecting [`LgTransport`] for one campaign day.
-pub struct ChaosTransport<'a> {
+pub(crate) struct ChaosTransport<'a> {
     lg: &'a LgServer,
     clock: &'a VirtualClock,
     plan: &'a FaultPlan,
@@ -85,7 +85,7 @@ impl<'a> ChaosTransport<'a> {
     /// A transport for `day` of the campaign. `seed` plus the day index
     /// derive the injection RNG, so each day's fault sequence is
     /// independent but fully determined.
-    pub fn new(
+    pub(crate) fn new(
         lg: &'a LgServer,
         clock: &'a VirtualClock,
         plan: &'a FaultPlan,

@@ -48,7 +48,8 @@
     clippy::expect_used,
     clippy::panic,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::unreachable
 )]
 #![warn(missing_docs)]
 
@@ -61,12 +62,8 @@ pub mod plan;
 
 /// Common imports for chaos tests.
 pub mod prelude {
-    pub use crate::campaign::{
-        run_campaign, snapshot_fingerprint, CampaignConfig, CampaignOutcome, DayRecord,
-        DAY_BUDGET_MS, DAY_MS,
-    };
-    pub use crate::corpus::{run_corpus, SeedOutcome};
-    pub use crate::inject::{ChaosTransport, InjectStats};
+    pub use crate::campaign::{run_campaign, CampaignConfig, CampaignOutcome, DAY_MS};
+    pub use crate::corpus::run_corpus;
     pub use crate::oracle::{check_campaign, check_determinism, Violation};
     pub use crate::plan::{FaultClass, FaultPlan};
     pub use prop::{assert_holds, check, iteration_seed, CheckConfig, Choices, CounterExample};

@@ -186,31 +186,9 @@ impl FaultPlan {
         FaultPlan::from_choices(&mut c, days)
     }
 
-    /// True when the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        *self == FaultPlan::none() || {
-            self.drop_per_mille == 0
-                && self.dup_per_mille == 0
-                && self.reorder_per_mille == 0
-                && self.delay_per_mille == 0
-                && self.garbage_per_mille == 0
-                && self.reset_per_mille == 0
-                && self.lost_down_per_mille == 0
-                && self.truncate_days.is_empty()
-                && self.storm_days.is_empty()
-                && self.flap_days.is_empty()
-                && self.churn_days.is_empty()
-        }
-    }
-
     /// The plan as JSON, for replay instructions printed on failure.
     pub fn to_json(&self) -> String {
         serde_json::to_string(self).unwrap_or_else(|_| "<unserializable plan>".into())
-    }
-
-    /// Parse a plan printed by [`FaultPlan::to_json`].
-    pub fn from_json(s: &str) -> Result<Self, String> {
-        serde_json::from_str(s).map_err(|e| format!("bad fault plan JSON: {e}"))
     }
 }
 
@@ -222,7 +200,24 @@ mod tests {
     fn zero_choices_yield_empty_plan() {
         let mut c = Choices::replay(vec![]);
         let plan = FaultPlan::from_choices(&mut c, 6);
-        assert!(plan.is_empty(), "{plan:?}");
+        // no fault rate is drawn and no day-level fault is scheduled
+        let rates = [
+            plan.drop_per_mille,
+            plan.dup_per_mille,
+            plan.reorder_per_mille,
+            plan.delay_per_mille,
+            plan.garbage_per_mille,
+            plan.reset_per_mille,
+            plan.lost_down_per_mille,
+        ];
+        assert!(rates.iter().all(|&r| r == 0), "{plan:?}");
+        let days = [
+            &plan.truncate_days,
+            &plan.storm_days,
+            &plan.flap_days,
+            &plan.churn_days,
+        ];
+        assert!(days.iter().all(|d| d.is_empty()), "{plan:?}");
     }
 
     #[test]
@@ -265,7 +260,7 @@ mod tests {
     #[test]
     fn json_roundtrip() {
         let plan = FaultPlan::from_seed(42, 6);
-        let back = FaultPlan::from_json(&plan.to_json()).unwrap();
+        let back: FaultPlan = serde_json::from_str(&plan.to_json()).unwrap();
         assert_eq!(back, plan);
     }
 }

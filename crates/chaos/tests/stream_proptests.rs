@@ -1,4 +1,4 @@
-//! `StateStore` convergence properties, driven by the chaos crate's own
+//! `RouterState` convergence properties, driven by the chaos crate's own
 //! property framework: any protocol-legal delivery of a monitoring feed —
 //! pagination into chunks, session resets replaying from arbitrary
 //! earlier cursors, replay pages overshooting into fresh frames —

@@ -21,15 +21,15 @@ pub mod large_fn {
     /// `rs:0:target` — do not announce to target (0 = all peers).
     pub const AVOID: u32 = 0;
     /// `rs:1:target` — announce only to target (0 = all peers).
-    pub const ONLY: u32 = 1;
+    pub(crate) const ONLY: u32 = 1;
     /// `rs:2..=4:target` — prepend 1–3× to target.
-    pub const PREPEND1: u32 = 2;
+    pub(crate) const PREPEND1: u32 = 2;
     /// Prepend 2×.
-    pub const PREPEND2: u32 = 3;
+    pub(crate) const PREPEND2: u32 = 3;
     /// Prepend 3×.
-    pub const PREPEND3: u32 = 4;
+    pub(crate) const PREPEND3: u32 = 4;
     /// `rs:10:code` — informational location tag.
-    pub const INFO_LEARNED: u32 = 10;
+    pub(crate) const INFO_LEARNED: u32 = 10;
     /// `rs:11:code` — informational origin class.
     pub const INFO_ORIGIN: u32 = 11;
 }
@@ -77,13 +77,13 @@ pub mod ext_subtype {
     /// Do not announce to the local-administrator target AS.
     pub const AVOID: u8 = 0x41;
     /// Announce only to the target AS.
-    pub const ONLY: u8 = 0x42;
+    pub(crate) const ONLY: u8 = 0x42;
     /// Prepend 1× to the target AS (AMS-IX fine-grained prepending).
     pub const PREPEND1: u8 = 0x43;
     /// Prepend 2×.
-    pub const PREPEND2: u8 = 0x44;
+    pub(crate) const PREPEND2: u8 = 0x44;
     /// Prepend 3×.
-    pub const PREPEND3: u8 = 0x45;
+    pub(crate) const PREPEND3: u8 = 0x45;
 }
 
 /// Classify an extended community against an IXP's rule-based scheme.
@@ -117,7 +117,7 @@ pub fn classify_extended(ixp: IxpId, c: ExtendedCommunity) -> Classification {
 }
 
 /// Classify any community for the dictionary's IXP.
-pub fn classify_community(dict: &Dictionary, c: &Community) -> Classification {
+pub(crate) fn classify_community(dict: &Dictionary, c: &Community) -> Classification {
     match c {
         Community::Standard(sc) => dict.classify(*sc),
         Community::Large(lc) => classify_large(dict.ixp(), *lc),
@@ -133,12 +133,6 @@ pub fn classify_route<'a>(
     route
         .communities()
         .map(move |c| (c, classify_community(dict, &c)))
-}
-
-/// Convenience: does the route carry at least one IXP-defined action
-/// community? (The paper's §5.2 definition of a route "using" actions.)
-pub fn route_has_action(dict: &Dictionary, route: &Route) -> bool {
-    classify_route(dict, route).any(|(_, cl)| cl.action().is_some())
 }
 
 #[cfg(test)]
@@ -227,8 +221,10 @@ mod tests {
         assert_eq!(cls.len(), 3);
         let defined = cls.iter().filter(|(_, c)| c.is_ixp_defined()).count();
         assert_eq!(defined, 2);
-        assert!(route_has_action(&dict, &route));
+        let has_action =
+            |route: &Route| classify_route(&dict, route).any(|(_, cl)| cl.action().is_some());
+        assert!(has_action(&route));
         route.standard_communities.clear();
-        assert!(!route_has_action(&dict, &route)); // info-only now
+        assert!(!has_action(&route)); // info-only now
     }
 }

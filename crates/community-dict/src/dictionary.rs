@@ -62,7 +62,7 @@ impl Dictionary {
     }
 
     /// The paper's union construction: RS-config entries ∪ website entries.
-    pub fn union(
+    pub(crate) fn union(
         ixp: IxpId,
         rs_config: Vec<DictionaryEntry>,
         website: Vec<DictionaryEntry>,
@@ -141,24 +141,6 @@ impl Dictionary {
             }
         }
         Classification::Unknown
-    }
-
-    /// Classify without the index (linear scan, exactness still wins).
-    /// Exists for the `ablation_lookup` benchmark.
-    pub fn classify_linear(&self, c: StandardCommunity) -> Classification {
-        let mut best: Option<(&DictionaryEntry, u32)> = None;
-        for e in &self.entries {
-            if e.pattern.matches(c) {
-                let spec = e.pattern.specificity();
-                if best.map(|(_, s)| spec < s).unwrap_or(true) {
-                    best = Some((e, spec));
-                }
-            }
-        }
-        match best {
-            Some((e, _)) => Classification::IxpDefined(e.pattern.resolve(e.semantics, c)),
-            None => Classification::Unknown,
-        }
     }
 
     /// Convenience: the resolved semantics, if defined.
@@ -246,21 +228,6 @@ mod tests {
         let d = mini_dict();
         assert_eq!(d.classify(C(3356, 100)), Classification::Unknown);
         assert_eq!(d.semantics(C(3356, 100)), None);
-    }
-
-    #[test]
-    fn linear_agrees_with_indexed() {
-        let d = mini_dict();
-        for c in [
-            C(0, 6695),
-            C(0, 6939),
-            C(6695, 850),
-            C(6695, 15169),
-            C(3356, 100),
-            C(65535, 666),
-        ] {
-            assert_eq!(d.classify(c), d.classify_linear(c), "community {c}");
-        }
     }
 
     #[test]

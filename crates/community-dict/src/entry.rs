@@ -21,23 +21,23 @@ pub struct SourceSet {
 
 impl SourceSet {
     /// Present in both sources.
-    pub const BOTH: SourceSet = SourceSet {
+    pub(crate) const BOTH: SourceSet = SourceSet {
         rs_config: true,
         website: true,
     };
     /// RS configuration only.
-    pub const RS_ONLY: SourceSet = SourceSet {
+    pub(crate) const RS_ONLY: SourceSet = SourceSet {
         rs_config: true,
         website: false,
     };
     /// Website documentation only (the gap the paper discovered).
-    pub const WEBSITE_ONLY: SourceSet = SourceSet {
+    pub(crate) const WEBSITE_ONLY: SourceSet = SourceSet {
         rs_config: false,
         website: true,
     };
 
     /// Merge provenance from another sighting of the same entry.
-    pub fn merge(self, other: SourceSet) -> SourceSet {
+    pub(crate) fn merge(self, other: SourceSet) -> SourceSet {
         SourceSet {
             rs_config: self.rs_config || other.rs_config,
             website: self.website || other.website,
@@ -73,7 +73,7 @@ impl DictionaryEntry {
     }
 
     /// Override provenance.
-    pub fn with_sources(mut self, sources: SourceSet) -> Self {
+    pub(crate) fn with_sources(mut self, sources: SourceSet) -> Self {
         self.sources = sources;
         self
     }

@@ -31,7 +31,8 @@
     clippy::expect_used,
     clippy::panic,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::unreachable
 )]
 #![warn(missing_docs)]
 
@@ -49,7 +50,7 @@ pub mod semantics;
 /// Common re-exports.
 pub mod prelude {
     pub use crate::action::{Action, ActionGroup, ActionKind, Target};
-    pub use crate::classify::{classify_community, classify_route, route_has_action};
+    pub use crate::classify::classify_route;
     pub use crate::dictionary::Dictionary;
     pub use crate::entry::{DictionaryEntry, SourceSet};
     pub use crate::ixp::IxpId;

@@ -63,7 +63,7 @@ fn info_entry(c: StandardCommunity, kind: InfoKind, desc: String) -> DictionaryE
 
 /// The high values used for the action templates of one scheme.
 #[derive(Debug, Clone, Copy)]
-pub struct SchemeHighs {
+pub(crate) struct SchemeHighs {
     /// `high:<peer-as>` → do not announce to the peer.
     pub avoid: u16,
     /// `high:<peer-as>` → announce only to the peer.
@@ -74,7 +74,7 @@ pub struct SchemeHighs {
 
 /// The template high values for each scheme, used by the tagging model to
 /// *construct* communities the dictionary will then classify.
-pub const fn scheme_highs(ixp: IxpId) -> SchemeHighs {
+pub(crate) const fn scheme_highs(ixp: IxpId) -> SchemeHighs {
     match ixp {
         IxpId::IxBrSp => SchemeHighs {
             avoid: 65000,
@@ -195,7 +195,7 @@ pub fn info_community(ixp: IxpId, slot: u16) -> StandardCommunity {
 /// Build the full, merged entry list for one IXP, with per-entry
 /// provenance assigned (a deterministic ~14% of entries are website-only
 /// — the documentation gap the paper discovered — and ~9% RS-config-only).
-pub fn scheme_entries(ixp: IxpId) -> Vec<DictionaryEntry> {
+pub(crate) fn scheme_entries(ixp: IxpId) -> Vec<DictionaryEntry> {
     let highs = scheme_highs(ixp);
     let rs_name = ixp.short_name();
     let mut entries: Vec<DictionaryEntry> = Vec::new();
@@ -329,7 +329,7 @@ pub fn rs_config_entries(ixp: IxpId) -> Vec<DictionaryEntry> {
 }
 
 /// The entries as published in the IXP website documentation.
-pub fn website_entries(ixp: IxpId) -> Vec<DictionaryEntry> {
+pub(crate) fn website_entries(ixp: IxpId) -> Vec<DictionaryEntry> {
     scheme_entries(ixp)
         .into_iter()
         .filter(|e| e.sources.website)

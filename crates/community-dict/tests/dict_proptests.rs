@@ -1,5 +1,6 @@
 //! Property tests for dictionary classification invariants.
 
+use bgp_model::asn::Asn;
 use bgp_model::community::{LargeCommunity, StandardCommunity};
 use community_dict::classify::{classify_large, large_fn};
 use community_dict::prelude::*;
@@ -17,6 +18,18 @@ fn gen_ixp_community(c: &mut Choices) -> (IxpId, u16, u16) {
     (gen_ixp(c), c.draw(0xFFFF) as u16, c.draw(0xFFFF) as u16)
 }
 
+/// The reference lookup: an exhaustive linear scan in which the most
+/// specific matching pattern wins (the first one on a tie).
+fn classify_linear(dict: &Dictionary, c: StandardCommunity) -> Classification {
+    dict.entries()
+        .iter()
+        .filter(|e| e.pattern.matches(c))
+        .min_by_key(|e| e.pattern.specificity())
+        .map_or(Classification::Unknown, |e| {
+            Classification::IxpDefined(e.pattern.resolve(e.semantics, c))
+        })
+}
+
 /// The indexed lookup must agree with an exhaustive linear scan for
 /// every community value, on every scheme.
 #[test]
@@ -24,9 +37,59 @@ fn indexed_matches_linear() {
     assert_holds(&CASES, gen_ixp_community, |&(ixp, hi, lo)| {
         let dict = schemes::dictionary(ixp);
         let c = StandardCommunity::from_parts(hi, lo);
-        assert_eq!(dict.classify(c), dict.classify_linear(c));
+        assert_eq!(dict.classify(c), classify_linear(&dict, c));
         true
     });
+}
+
+/// The same agreement on a dictionary whose patterns overlap on
+/// purpose: an exact entry inside a template, and a range inside one.
+#[test]
+fn linear_agrees_with_indexed() {
+    let c = StandardCommunity::from_parts;
+    let dict = Dictionary::new(
+        IxpId::DeCixFra,
+        vec![
+            DictionaryEntry::new(
+                Pattern::Exact(c(0, 6695)),
+                Semantics::Action(Action::new(ActionKind::DoNotAnnounceTo, Target::AllPeers)),
+                "do not announce to any peer",
+            ),
+            DictionaryEntry::new(
+                Pattern::PeerAsnLow { high: 0 },
+                Semantics::Action(Action::avoid(Asn(0))),
+                "do not announce to <peer-as>",
+            ),
+            DictionaryEntry::new(
+                Pattern::LowRange {
+                    high: 6695,
+                    lo: 800,
+                    hi: 899,
+                },
+                Semantics::Informational(InfoKind::LearnedAt(0)),
+                "learned at location",
+            ),
+            DictionaryEntry::new(
+                Pattern::PeerAsnLow { high: 6695 },
+                Semantics::Action(Action::only(Asn(0))),
+                "announce only to <peer-as>",
+            ),
+        ],
+    );
+    for community in [
+        c(0, 6695),
+        c(0, 6939),
+        c(6695, 850),
+        c(6695, 15169),
+        c(3356, 100),
+        c(65535, 666),
+    ] {
+        assert_eq!(
+            dict.classify(community),
+            classify_linear(&dict, community),
+            "community {community}"
+        );
+    }
 }
 
 /// Classification is a pure function of the dictionary: rebuilding the

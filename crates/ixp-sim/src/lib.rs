@@ -24,7 +24,8 @@
     clippy::expect_used,
     clippy::panic,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::unreachable
 )]
 #![warn(missing_docs)]
 
@@ -38,15 +39,13 @@ pub mod world;
 
 /// Common re-exports.
 pub mod prelude {
-    pub use crate::calibration::{calibration, Calibration};
-    pub use crate::members::{Behavior, MemberProfile};
-    pub use crate::profile::{profile, IxpProfile};
+    pub use crate::calibration::calibration;
+    pub use crate::profile::profile;
     pub use crate::scenario::{run, Scenario, ScenarioConfig};
     pub use crate::timeline::{
         anchors, generate_all, generate_series, CollectionMode, Series, TimelineConfig,
     };
-    pub use crate::universe::{avoid_weights, famous_at_rs, only_targets};
-    pub use crate::world::{build_ixp, build_world, IxpWorld, PrefixAllocator, WorldConfig};
+    pub use crate::world::{build_ixp, build_world, IxpWorld, WorldConfig};
 }
 
 pub use prelude::*;

@@ -69,13 +69,13 @@ pub struct MemberProfile {
 
 /// Transit ASNs used as the `high` part of operator-private (unknown)
 /// communities. None collides with any scheme's template highs.
-pub const UNKNOWN_HIGHS: [u16; 8] = [3356, 174, 1299, 2914, 6453, 3257, 6461, 3491];
+pub(crate) const UNKNOWN_HIGHS: [u16; 8] = [3356, 174, 1299, 2914, 6453, 3257, 6461, 3491];
 
 /// Generate the member population for one IXP.
 ///
 /// `n_v4` / `n_v6` are the session counts (already scaled); `routes_v4` /
 /// `routes_v6` are the total route targets.
-pub fn generate_members(
+pub(crate) fn generate_members(
     ixp: IxpId,
     n_v4: usize,
     n_v6: usize,

@@ -15,7 +15,7 @@ use community_dict::ixp::IxpId;
 use looking_glass::sanitize::{detect_bad_days, SanitizeConfig, SeriesPoint};
 
 /// Collection window length: 19 Jul – 4 Oct 2021.
-pub const DAYS: u32 = 84;
+pub(crate) const DAYS: u32 = 84;
 
 /// Which collection path a scenario runs
 /// ([`crate::scenario::ScenarioConfig::mode`]): the paper's periodic

@@ -15,27 +15,27 @@ pub mod asns {
     /// Google.
     pub const GOOGLE: Asn = Asn(15169);
     /// Akamai.
-    pub const AKAMAI: Asn = Asn(20940);
+    pub(crate) const AKAMAI: Asn = Asn(20940);
     /// Cloudflare.
-    pub const CLOUDFLARE: Asn = Asn(13335);
+    pub(crate) const CLOUDFLARE: Asn = Asn(13335);
     /// OVHcloud.
     pub const OVH: Asn = Asn(16276);
     /// Netflix.
-    pub const NETFLIX: Asn = Asn(2906);
+    pub(crate) const NETFLIX: Asn = Asn(2906);
     /// Edgecast.
-    pub const EDGECAST: Asn = Asn(15133);
+    pub(crate) const EDGECAST: Asn = Asn(15133);
     /// LeaseWeb.
-    pub const LEASEWEB: Asn = Asn(60781);
+    pub(crate) const LEASEWEB: Asn = Asn(60781);
     /// Filanco (the DE-CIX IPv6 top target).
-    pub const FILANCO: Asn = Asn(29990);
+    pub(crate) const FILANCO: Asn = Asn(29990);
     /// RNP (Brazilian education network).
-    pub const RNP: Asn = Asn(1916);
+    pub(crate) const RNP: Asn = Asn(1916);
     /// NIC-Simet.
-    pub const NIC_SIMET: Asn = Asn(22548);
+    pub(crate) const NIC_SIMET: Asn = Asn(22548);
     /// Itau.
-    pub const ITAU: Asn = Asn(28583);
+    pub(crate) const ITAU: Asn = Asn(28583);
     /// CDNetworks.
-    pub const CDNETWORKS: Asn = Asn(36408);
+    pub(crate) const CDNETWORKS: Asn = Asn(36408);
 }
 
 /// Is this named network an RS member at this IXP in our world?
@@ -46,7 +46,7 @@ pub mod asns {
 /// ineffective there); OVHcloud is not at the AMS-IX or LINX RS; several
 /// big CPs are PNI-only everywhere, which is exactly why members tag
 /// against them.
-pub fn famous_at_rs(ixp: IxpId, asn: Asn) -> bool {
+pub(crate) fn famous_at_rs(ixp: IxpId, asn: Asn) -> bool {
     use asns::*;
     let cat = known::lookup(asn).map(|k| k.category);
     match cat {
@@ -76,7 +76,7 @@ pub fn famous_at_rs(ixp: IxpId, asn: Asn) -> bool {
 /// members include the AS in their avoid list. Only CPs and a couple of
 /// ISPs are popular targets (§5.4); everything else enters lists via the
 /// defensive non-member pool.
-pub fn avoid_weights(ixp: IxpId) -> Vec<(Asn, f64)> {
+pub(crate) fn avoid_weights(ixp: IxpId) -> Vec<(Asn, f64)> {
     use asns::*;
     let mut w: Vec<(Asn, f64)> = match ixp {
         IxpId::IxBrSp => vec![
@@ -144,7 +144,7 @@ pub fn avoid_weights(ixp: IxpId) -> Vec<(Asn, f64)> {
 
 /// The announce-only target pool at one IXP (IX.br's educational /
 /// enterprise re-add targets, §5.4; elsewhere generic members are used).
-pub fn only_targets(ixp: IxpId) -> Vec<Asn> {
+pub(crate) fn only_targets(ixp: IxpId) -> Vec<Asn> {
     use asns::*;
     match ixp {
         IxpId::IxBrSp => vec![NIC_SIMET, RNP, ITAU, CDNETWORKS, HE, GOOGLE],

@@ -21,7 +21,7 @@ use crate::profile::profile;
 
 /// Allocates globally unique, non-bogon synthetic prefixes.
 #[derive(Debug, Clone, Default)]
-pub struct PrefixAllocator {
+pub(crate) struct PrefixAllocator {
     next_v4: u32,
     next_v6: u32,
     allocated_v4: Vec<Prefix>,
@@ -30,12 +30,12 @@ pub struct PrefixAllocator {
 
 impl PrefixAllocator {
     /// Fresh allocator.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PrefixAllocator::default()
     }
 
     /// Allocate a fresh /24 (v4) or /48 (v6).
-    pub fn fresh(&mut self, afi: Afi) -> Prefix {
+    pub(crate) fn fresh(&mut self, afi: Afi) -> Prefix {
         match afi {
             Afi::Ipv4 => {
                 let i = self.next_v4;
@@ -66,7 +66,7 @@ impl PrefixAllocator {
 
     /// A previously allocated prefix (for multi-origin announcements), or
     /// a fresh one if none exist yet.
-    pub fn reused(&mut self, afi: Afi, rng: &mut StdRng) -> Prefix {
+    pub(crate) fn reused(&mut self, afi: Afi, rng: &mut StdRng) -> Prefix {
         let pool = match afi {
             Afi::Ipv4 => &self.allocated_v4,
             Afi::Ipv6 => &self.allocated_v6,

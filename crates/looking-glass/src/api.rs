@@ -149,7 +149,7 @@ pub struct StreamFrame {
 }
 
 /// Frames per [`LgResponse::StreamEvents`] page.
-pub const STREAM_PAGE: usize = 256;
+pub(crate) const STREAM_PAGE: usize = 256;
 
 /// Errors the LG can return (or the transport can surface).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -188,7 +188,7 @@ impl std::fmt::Display for LgError {
 impl std::error::Error for LgError {}
 
 /// Routes per page served by the LG.
-pub const PAGE_SIZE: usize = 250;
+pub(crate) const PAGE_SIZE: usize = 250;
 
 #[cfg(test)]
 mod tests {

@@ -236,32 +236,6 @@ impl Collector {
         })
     }
 
-    /// Fetch the RS configuration text and parse it into dictionary
-    /// entries — the paper's first dictionary source (§3). Returns the
-    /// parsed entries; union it with the website documentation via
-    /// [`community_dict::dictionary::Dictionary::union`].
-    pub fn fetch_rs_dictionary<T: LgTransport>(
-        &self,
-        transport: &mut T,
-        start_ms: u64,
-    ) -> Result<Vec<community_dict::entry::DictionaryEntry>, LgError> {
-        let clock = VirtualClock::new(start_ms);
-        let mut requests = 0;
-        let mut failures = 0;
-        let resp = self.send(
-            transport,
-            &LgRequest::RsConfigText,
-            &clock,
-            &mut requests,
-            &mut failures,
-        )?;
-        let LgResponse::RsConfigText { text } = resp else {
-            return Err(LgError::Transport("rs-config: wrong response type".into()));
-        };
-        community_dict::config_text::parse(&text)
-            .map_err(|e| LgError::Transport(format!("rs-config parse: {e}")))
-    }
-
     fn fetch_peer_routes<T: LgTransport>(
         &self,
         transport: &mut T,

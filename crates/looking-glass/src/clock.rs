@@ -72,7 +72,7 @@ impl Clock for VirtualClock {
 /// transport crosses a process boundary (TCP), where the far side is
 /// pacing against real time.
 #[derive(Debug)]
-pub struct SystemClock {
+pub(crate) struct SystemClock {
     origin: std::time::Instant,
     offset_ms: u64,
 }
@@ -83,7 +83,7 @@ impl SystemClock {
         clippy::disallowed_methods,
         reason = "SystemClock is the one sanctioned wall-clock source; everything else (chaos included) paces through the Clock trait"
     )]
-    pub fn starting_at(offset_ms: u64) -> Self {
+    pub(crate) fn starting_at(offset_ms: u64) -> Self {
         SystemClock {
             origin: std::time::Instant::now(),
             offset_ms,

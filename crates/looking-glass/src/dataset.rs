@@ -104,13 +104,13 @@ pub fn export(
 }
 
 /// Read the dataset index.
-pub fn read_index(root: &Path) -> io::Result<DatasetIndex> {
+pub(crate) fn read_index(root: &Path) -> io::Result<DatasetIndex> {
     let bytes = fs::read(root.join("index.json"))?;
     serde_json::from_slice(&bytes).map_err(io::Error::from)
 }
 
 /// Load one snapshot back (from its JSON form, which is lossless).
-pub fn load_snapshot(root: &Path, ixp: IxpId, afi: Afi, day: u32) -> io::Result<Snapshot> {
+pub(crate) fn load_snapshot(root: &Path, ixp: IxpId, afi: Afi, day: u32) -> io::Result<Snapshot> {
     let (_, json_path) = snapshot_paths(root, ixp, afi, day);
     let bytes = fs::read(json_path)?;
     serde_json::from_slice(&bytes).map_err(io::Error::from)

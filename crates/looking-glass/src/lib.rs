@@ -39,7 +39,8 @@
     clippy::expect_used,
     clippy::panic,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::unreachable
 )]
 #![warn(missing_docs)]
 
@@ -59,7 +60,7 @@ pub mod prelude {
         LgError, LgRequest, LgResponse, MemberSummary, StreamFrame, TraceContext, TracedRequest,
     };
     pub use crate::client::{CollectionReport, Collector, CollectorConfig, LgTransport};
-    pub use crate::clock::{Clock, SystemClock, VirtualClock};
+    pub use crate::clock::{Clock, VirtualClock};
     pub use crate::dataset::{export as export_dataset, import as import_dataset, DatasetIndex};
     pub use crate::sanitize::{sanitize_store, SanitationReport, SanitizeConfig, SeriesPoint};
     pub use crate::server::{FailureModel, LgServer, RateLimiter};

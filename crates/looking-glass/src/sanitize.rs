@@ -29,7 +29,7 @@ pub struct SeriesPoint {
 
 impl SeriesPoint {
     /// Extract the metrics from one snapshot.
-    pub fn from_snapshot(s: &Snapshot) -> Self {
+    pub(crate) fn from_snapshot(s: &Snapshot) -> Self {
         SeriesPoint {
             day: s.day,
             members: s.member_count(),
@@ -106,17 +106,6 @@ pub struct SanitationReport {
     pub inspected: usize,
     /// Snapshots removed, as (ixp, afi, day).
     pub removed: Vec<(IxpId, Afi, u32)>,
-}
-
-impl SanitationReport {
-    /// Fraction of snapshots removed (the paper reports 13.5%).
-    pub fn removed_fraction(&self) -> f64 {
-        if self.inspected == 0 {
-            0.0
-        } else {
-            self.removed.len() as f64 / self.inspected as f64
-        }
-    }
 }
 
 /// Sanitize a snapshot store in place: remove every valley snapshot.
@@ -222,7 +211,6 @@ mod tests {
         let report = sanitize_store(&mut store, &SanitizeConfig::default());
         assert_eq!(report.inspected, 5);
         assert_eq!(report.removed, vec![(IxpId::Linx, Afi::Ipv4, 2)]);
-        assert!((report.removed_fraction() - 0.2).abs() < 1e-12);
         assert!(store.get(IxpId::Linx, Afi::Ipv4, 2).is_none());
         assert_eq!(store.len(), 4);
     }

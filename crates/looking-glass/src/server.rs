@@ -40,7 +40,7 @@ impl RateLimiter {
     }
 
     /// Try to take one token at time `now_ms`.
-    pub fn try_acquire(&mut self, now_ms: u64) -> bool {
+    pub(crate) fn try_acquire(&mut self, now_ms: u64) -> bool {
         let elapsed = now_ms.saturating_sub(self.last_ms) as f64;
         self.last_ms = now_ms;
         self.tokens = (self.tokens + elapsed * self.refill_per_ms).min(self.capacity);
@@ -74,12 +74,6 @@ impl FailureModel {
     pub const FLAKY: FailureModel = FailureModel {
         error_rate: 0.02,
         truncate_rate: 0.002,
-    };
-
-    /// An outage day: most requests fail (drives §3's removed snapshots).
-    pub const OUTAGE: FailureModel = FailureModel {
-        error_rate: 0.7,
-        truncate_rate: 0.2,
     };
 }
 

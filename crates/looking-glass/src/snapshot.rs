@@ -120,7 +120,7 @@ impl SnapshotStore {
     }
 
     /// Remove one snapshot (sanitation).
-    pub fn remove(&mut self, ixp: IxpId, afi: Afi, day: u32) -> Option<Snapshot> {
+    pub(crate) fn remove(&mut self, ixp: IxpId, afi: Afi, day: u32) -> Option<Snapshot> {
         self.snapshots.remove(&(ixp, afi, day))
     }
 

@@ -24,6 +24,11 @@ use crate::server::LgServer;
 pub struct TcpLgServer {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
+    /// Worker threads not yet reaped by the accept loop.
+    #[cfg_attr(
+        not(test),
+        expect(dead_code, reason = "only the reaping test reads the count")
+    )]
     live_workers: Arc<AtomicUsize>,
     handle: Option<JoinHandle<()>>,
 }
@@ -93,7 +98,8 @@ impl TcpLgServer {
 
     /// Worker threads not yet reaped by the accept loop (closed
     /// connections are reclaimed on the next accept-loop pass).
-    pub fn live_workers(&self) -> usize {
+    #[cfg(test)]
+    fn live_workers(&self) -> usize {
         self.live_workers.load(Ordering::Relaxed)
     }
 
@@ -118,11 +124,11 @@ impl Drop for TcpLgServer {
 /// Longest request line the server reads (the largest real request is
 /// ~130 bytes). A longer one is answered with an error and the
 /// connection closed, so a peer cannot grow the buffer without bound.
-pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+pub(crate) const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// Longest response line the client reads: two orders of magnitude above
 /// the largest page the simulator serves (~150 KiB for 250 routes).
-pub const MAX_RESPONSE_LINE: usize = 16 * 1024 * 1024;
+pub(crate) const MAX_RESPONSE_LINE: usize = 16 * 1024 * 1024;
 
 /// Decode one request line, once: a frame is either a trace-wrapped
 /// request or a bare one (untraced clients keep working), told apart by

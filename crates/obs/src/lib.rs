@@ -39,33 +39,17 @@
 //! assert_eq!(registry.snapshot().histograms["rs.ingest_update"].count, 1);
 //! ```
 //!
-//! With [`Registry::enable_events`], finished spans are additionally appended
-//! to a bounded ring buffer and can be exported as JSONL (one JSON object per
-//! line) via [`Registry::events_jsonl`] for offline trace inspection.
-//!
 //! With [`Registry::enable_tracing`], spans gain deterministic
 //! trace/span/parent IDs forming a causal tree — propagated across `par`
 //! workers and the looking-glass transport — that exports as Chrome
-//! `trace_event` JSON, collapsed stacks, and a self-time profile. See the
-//! [`trace`] module.
+//! `trace_event` JSON and a self-time profile. See the [`trace`] module.
 //!
-//! # Snapshots and exposition
+//! # Snapshots
 //!
 //! [`Registry::snapshot`] captures a point-in-time [`Snapshot`] of every
 //! instrument. Snapshots subtract ([`Snapshot::diff`]) so a pipeline stage can
-//! be reported as "what changed while stage X ran", serialize to JSON
-//! ([`Snapshot::to_json`]), and render in the Prometheus text exposition
-//! format ([`Snapshot::to_prometheus`]):
-//!
-//! ```text
-//! # TYPE rs_updates_processed counter
-//! rs_updates_processed 120000
-//! # TYPE rs_ingest_update histogram
-//! rs_ingest_update_bucket{le="1023"} 41
-//! rs_ingest_update_bucket{le="+Inf"} 57
-//! rs_ingest_update_sum 93021
-//! rs_ingest_update_count 57
-//! ```
+//! be reported as "what changed while stage X ran", and serialize to JSON
+//! ([`Snapshot::to_json`]).
 //!
 //! The process-wide default registry is [`global()`]; library crates record
 //! there unless handed an explicit registry (e.g. `RouteServer::with_registry`
@@ -77,7 +61,8 @@
     clippy::expect_used,
     clippy::panic,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::unreachable
 )]
 
 mod metrics;
@@ -88,9 +73,9 @@ mod span;
 pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, Registry};
-pub use report::{render_counters, render_report, top_spans, SpanSummary};
+pub use report::render_report;
 pub use snapshot::{HistogramSnapshot, Snapshot};
-pub use span::{Span, SpanEvent};
+pub use span::Span;
 
 use std::sync::OnceLock;
 
@@ -104,7 +89,7 @@ pub fn global() -> &'static Registry {
 }
 
 /// Start an RAII span timer: records elapsed nanoseconds into the histogram
-/// of the same name (and the event ring, if enabled) when dropped.
+/// of the same name (and a trace-tree node, if tracing) when dropped.
 ///
 /// `span!("name")` times against the [`global()`] registry;
 /// `span!(registry, "name")` against an explicit one.

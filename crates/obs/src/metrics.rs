@@ -8,7 +8,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Mutex, RwLock};
 
 use crate::snapshot::{HistogramSnapshot, Snapshot};
-use crate::span::{EventRing, Span, SpanEvent};
+use crate::span::Span;
 use crate::trace::TraceSpan;
 
 /// Hard cap on buffered trace spans per registry; recording stops (and
@@ -42,7 +42,7 @@ pub struct Counter(Option<Arc<AtomicU64>>);
 
 impl Counter {
     /// A handle that records nothing.
-    pub fn noop() -> Self {
+    pub(crate) fn noop() -> Self {
         Counter(None)
     }
 
@@ -72,7 +72,7 @@ pub struct Gauge(Option<Arc<AtomicI64>>);
 
 impl Gauge {
     /// A handle that records nothing.
-    pub fn noop() -> Self {
+    pub(crate) fn noop() -> Self {
         Gauge(None)
     }
 
@@ -90,12 +90,6 @@ impl Gauge {
         if let Some(cell) = &self.0 {
             cell.fetch_add(n, Ordering::Relaxed);
         }
-    }
-
-    /// Move the level down.
-    #[inline]
-    pub fn sub(&self, n: i64) {
-        self.add(-n);
     }
 
     /// Current level (0 for a no-op handle).
@@ -170,7 +164,7 @@ impl std::fmt::Debug for Histogram {
 
 impl Histogram {
     /// A handle that records nothing.
-    pub fn noop() -> Self {
+    pub(crate) fn noop() -> Self {
         Histogram(None)
     }
 
@@ -184,13 +178,13 @@ impl Histogram {
 
     /// Record an elapsed duration in nanoseconds.
     #[inline]
-    pub fn record_duration(&self, d: Duration) {
+    pub(crate) fn record_duration(&self, d: Duration) {
         self.record(d.as_nanos().min(u64::MAX as u128) as u64);
     }
 
     /// Start a timer that records into this histogram when dropped.
     /// This is the allocation-free hot path; [`Registry::span`] adds
-    /// name lookup and optional event logging on top.
+    /// name lookup and optional tracing on top.
     #[expect(
         clippy::disallowed_methods,
         reason = "obs is the instrumentation layer every clock read flows through"
@@ -201,11 +195,6 @@ impl Histogram {
             hist: self.clone(),
             start: Instant::now(),
         }
-    }
-
-    /// Whether this handle records anywhere (false for no-op handles).
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
     }
 }
 
@@ -236,7 +225,6 @@ pub(crate) struct Shared {
     counters: RwLock<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: RwLock<BTreeMap<String, Arc<AtomicI64>>>,
     histograms: RwLock<BTreeMap<String, Arc<HistogramCore>>>,
-    pub(crate) events: Mutex<EventRing>,
     /// Whether finished spans are recorded as trace-tree nodes.
     tracing: AtomicBool,
     /// Finished trace spans, in completion order (the tree structure
@@ -279,7 +267,6 @@ impl Registry {
                 counters: RwLock::new(BTreeMap::new()),
                 gauges: RwLock::new(BTreeMap::new()),
                 histograms: RwLock::new(BTreeMap::new()),
-                events: Mutex::new(EventRing::disabled()),
                 tracing: AtomicBool::new(false),
                 traces: Mutex::new(Vec::new()),
                 root_slots: Mutex::new(BTreeMap::new()),
@@ -290,11 +277,6 @@ impl Registry {
     /// A registry that mints no-op handles and records nothing.
     pub fn noop() -> Self {
         Registry { inner: None }
-    }
-
-    /// Whether this registry actually records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
     }
 
     /// Get or create the counter named `name`.
@@ -348,57 +330,6 @@ impl Registry {
         Span::begin(self.clone(), name)
     }
 
-    /// Turn on the span event ring buffer, keeping the most recent
-    /// `capacity` finished spans for [`Registry::events_jsonl`].
-    pub fn enable_events(&self, capacity: usize) {
-        if let Some(shared) = &self.inner {
-            shared.events.lock().set_capacity(capacity);
-        }
-    }
-
-    /// Append a point event (no duration) to the event ring, if enabled.
-    pub fn event(&self, name: &str, detail: impl Into<String>) {
-        if let Some(shared) = &self.inner {
-            let t_ns = shared.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            shared
-                .events
-                .lock()
-                .push(name.to_string(), t_ns, None, Some(detail.into()));
-        }
-    }
-
-    /// Number of events evicted from the ring since creation (the ring keeps
-    /// only the most recent `capacity` events).
-    pub fn events_dropped(&self) -> u64 {
-        match &self.inner {
-            Some(shared) => shared.events.lock().dropped(),
-            None => 0,
-        }
-    }
-
-    /// Drain-free view of the buffered span events, oldest first.
-    pub fn events(&self) -> Vec<SpanEvent> {
-        match &self.inner {
-            Some(shared) => shared.events.lock().to_vec(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Export buffered span events as JSONL (one JSON object per line).
-    pub fn events_jsonl(&self) -> String {
-        let mut out = String::new();
-        for event in self.events() {
-            match serde_json::to_string(&event) {
-                Ok(line) => {
-                    out.push_str(&line);
-                    out.push('\n');
-                }
-                Err(_) => continue,
-            }
-        }
-        out
-    }
-
     /// Turn on causal tracing: finished spans are recorded with
     /// deterministic trace/span/parent IDs (see [`crate::trace`]) until
     /// drained with [`Registry::take_trace_spans`].
@@ -410,7 +341,7 @@ impl Registry {
     }
 
     /// Whether this registry records trace spans.
-    pub fn tracing_enabled(&self) -> bool {
+    pub(crate) fn tracing_enabled(&self) -> bool {
         self.inner
             .as_ref()
             .is_some_and(|s| s.tracing.load(Ordering::Relaxed))
@@ -532,7 +463,7 @@ mod tests {
         let g = registry.gauge("test.gauge");
         g.set(10);
         g.add(5);
-        g.sub(3);
+        g.add(-3);
         assert_eq!(g.get(), 12);
     }
 

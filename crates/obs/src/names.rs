@@ -211,8 +211,6 @@ pub const ANALYSIS_BATCH_DAY_NS: &str = "analysis.batch.day_ns";
 
 /// Span: build the world inside `repro`.
 pub const REPRO_BUILD_WORLD: &str = "repro.build_world";
-/// Span: the `repro` static pre-flight check.
-pub const REPRO_CHECK: &str = "repro.check";
 
 /// Per-experiment repro stage histogram: `repro.<experiment>`.
 pub fn repro_stage(experiment: &str) -> String {
@@ -220,7 +218,7 @@ pub fn repro_stage(experiment: &str) -> String {
 }
 
 /// Every statically-named instrument, for exhaustiveness checks.
-pub const ALL: &[&str] = &[
+pub(crate) const ALL: &[&str] = &[
     WIRE_MSGS_ENCODED,
     WIRE_BYTES_ENCODED,
     WIRE_MSGS_DECODED,
@@ -289,12 +287,11 @@ pub const ALL: &[&str] = &[
     ANALYSIS_INCREMENTAL_DAY_NS,
     ANALYSIS_BATCH_DAY_NS,
     REPRO_BUILD_WORLD,
-    REPRO_CHECK,
 ];
 
 /// Dynamic name-family prefixes (everything minted at runtime starts with
 /// one of these followed by a `.`-separated suffix).
-pub const DYNAMIC_PREFIXES: &[&str] = &[
+pub(crate) const DYNAMIC_PREFIXES: &[&str] = &[
     RS_ROUTES_FILTERED,
     "repro",
     CHAOS_FAULTS_INJECTED,
@@ -302,7 +299,7 @@ pub const DYNAMIC_PREFIXES: &[&str] = &[
 ];
 
 /// True when histogram `name` records milliseconds, not nanoseconds.
-pub fn records_ms(name: &str) -> bool {
+pub(crate) fn records_ms(name: &str) -> bool {
     name.ends_with("_ms")
 }
 

@@ -9,7 +9,7 @@ use crate::snapshot::Snapshot;
 
 /// Summary of one span histogram, for "slowest spans" tables.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SpanSummary {
+pub(crate) struct SpanSummary {
     /// Histogram (span) name.
     pub name: String,
     /// Number of recorded spans.
@@ -24,7 +24,7 @@ pub struct SpanSummary {
 
 /// The `n` nanosecond histograms with the largest total recorded time,
 /// descending. Millisecond histograms are left out.
-pub fn top_spans(snapshot: &Snapshot, n: usize) -> Vec<SpanSummary> {
+pub(crate) fn top_spans(snapshot: &Snapshot, n: usize) -> Vec<SpanSummary> {
     let mut spans = summaries(snapshot, false);
     spans.sort_by(|a, b| b.total_ns.cmp(&a.total_ns).then(a.name.cmp(&b.name)));
     spans.truncate(n);
@@ -62,7 +62,7 @@ pub(crate) fn fmt_ns(ns: f64) -> String {
 }
 
 /// Render the counters (and gauges) of a snapshot as an aligned table.
-pub fn render_counters(snapshot: &Snapshot) -> String {
+pub(crate) fn render_counters(snapshot: &Snapshot) -> String {
     let width = snapshot
         .counters
         .keys()

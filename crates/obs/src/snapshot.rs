@@ -1,4 +1,4 @@
-//! Point-in-time snapshots: diffing, JSON, and Prometheus text exposition.
+//! Point-in-time snapshots: diffing and JSON.
 
 use std::collections::BTreeMap;
 
@@ -24,7 +24,7 @@ pub struct HistogramSnapshot {
 
 impl HistogramSnapshot {
     /// Mean sample value, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
@@ -35,7 +35,7 @@ impl HistogramSnapshot {
     /// Approximate quantile (`q` in `[0, 1]`): the upper bound of the first
     /// bucket whose cumulative count reaches `q * count`. Accurate to within
     /// the bucket's factor-of-two width.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         if self.count == 0 {
             return 0;
         }
@@ -53,7 +53,7 @@ impl HistogramSnapshot {
     /// Subtract a baseline (per-bucket saturating difference). `min`/`max`
     /// are kept from `self` — they cannot be un-merged — so treat them as
     /// whole-run extremes, not interval extremes.
-    pub fn diff(&self, baseline: &HistogramSnapshot) -> HistogramSnapshot {
+    pub(crate) fn diff(&self, baseline: &HistogramSnapshot) -> HistogramSnapshot {
         let base: BTreeMap<u64, u64> = baseline.buckets.iter().copied().collect();
         let buckets: Vec<(u64, u64)> = self
             .buckets
@@ -122,50 +122,6 @@ impl Snapshot {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).unwrap_or_else(|_| "{}".to_string())
     }
-
-    /// Parse a snapshot back from JSON.
-    pub fn from_json(s: &str) -> Result<Snapshot, serde_json::Error> {
-        serde_json::from_str(s)
-    }
-
-    /// Render in the Prometheus text exposition format. Metric names are
-    /// sanitized (`.` and other invalid characters become `_`).
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, value) in &self.counters {
-            let name = sanitize_metric_name(name);
-            out.push_str(&format!("# TYPE {name} counter\n{name} {value}\n"));
-        }
-        for (name, value) in &self.gauges {
-            let name = sanitize_metric_name(name);
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {value}\n"));
-        }
-        for (name, hist) in &self.histograms {
-            let name = sanitize_metric_name(name);
-            out.push_str(&format!("# TYPE {name} histogram\n"));
-            let mut cumulative = 0u64;
-            for &(bound, n) in &hist.buckets {
-                cumulative += n;
-                out.push_str(&format!("{name}_bucket{{le=\"{bound}\"}} {cumulative}\n"));
-            }
-            out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", hist.count));
-            out.push_str(&format!("{name}_sum {}\n", hist.sum));
-            out.push_str(&format!("{name}_count {}\n", hist.count));
-        }
-        out
-    }
-}
-
-fn sanitize_metric_name(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -188,7 +144,7 @@ mod tests {
     fn json_roundtrip() {
         let snap = sample_registry().snapshot();
         let json = snap.to_json();
-        let back = Snapshot::from_json(&json).expect("parse back");
+        let back: Snapshot = serde_json::from_str(&json).expect("parse back");
         assert_eq!(snap, back);
     }
 
@@ -205,24 +161,6 @@ mod tests {
         assert_eq!(delta.histograms["c.hist"].sum, 7);
         // gauges pass through as levels
         assert_eq!(delta.gauges["b.level"], -3);
-    }
-
-    #[test]
-    fn prometheus_text_shape() {
-        let text = sample_registry().snapshot().to_prometheus();
-        assert!(text.contains("# TYPE a_count counter\na_count 10\n"));
-        assert!(text.contains("# TYPE b_level gauge\nb_level -3\n"));
-        assert!(text.contains("# TYPE c_hist histogram\n"));
-        assert!(text.contains("c_hist_bucket{le=\"+Inf\"} 4\n"));
-        assert!(text.contains("c_hist_sum 106\n"));
-        assert!(text.contains("c_hist_count 4\n"));
-        // cumulative bucket counts are non-decreasing
-        let counts: Vec<u64> = text
-            .lines()
-            .filter(|l| l.starts_with("c_hist_bucket"))
-            .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
-            .collect();
-        assert!(counts.windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

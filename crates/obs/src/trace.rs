@@ -41,8 +41,6 @@
 //!   timing), the byte-comparable oracle form;
 //! * [`chrome_trace_json`] — Chrome `trace_event` JSON, loadable in
 //!   Perfetto / `chrome://tracing` (`repro --trace FILE` writes this);
-//! * [`collapsed_stacks`] — folded `root;child;leaf self_ns` lines for
-//!   flamegraph tooling;
 //! * [`self_time_table`] / [`render_self_time`] — per-name self time
 //!   (total minus children), the "where does the overhead actually
 //!   live" table.
@@ -68,7 +66,7 @@ static TRACING: AtomicBool = AtomicBool::new(false);
 
 /// True once any registry called
 /// [`enable_tracing`](crate::Registry::enable_tracing).
-pub fn enabled() -> bool {
+pub(crate) fn enabled() -> bool {
     TRACING.load(Ordering::Relaxed)
 }
 
@@ -143,7 +141,7 @@ fn fnv_mix(mut h: u64, bytes: &[u8]) -> u64 {
 /// Derive a span ID from its parent's ID, its name, and its slot.
 /// Pure and stable across processes; never returns 0 (0 means "no
 /// parent").
-pub fn derive_id(parent_id: u64, name: &str, slot: u64) -> u64 {
+pub(crate) fn derive_id(parent_id: u64, name: &str, slot: u64) -> u64 {
     let mut h = FNV_OFFSET;
     h = fnv_mix(h, &parent_id.to_le_bytes());
     h = fnv_mix(h, name.as_bytes());
@@ -482,22 +480,6 @@ fn self_ns_per_span(spans: &[TraceSpan]) -> Vec<u64> {
         .collect()
 }
 
-/// Folded collapsed-stack lines (`root;child;leaf self_ns`), aggregated
-/// by path and sorted, for flamegraph tooling.
-pub fn collapsed_stacks(spans: &[TraceSpan]) -> String {
-    let self_ns = self_ns_per_span(spans);
-    let mut folded: BTreeMap<String, u64> = BTreeMap::new();
-    walk(spans, |i, _, path| {
-        let names: Vec<&str> = path.iter().map(|&p| spans[p].name.as_str()).collect();
-        *folded.entry(names.join(";")).or_insert(0) += self_ns[i];
-    });
-    let mut out = String::new();
-    for (path, ns) in folded {
-        out.push_str(&format!("{path} {ns}\n"));
-    }
-    out
-}
-
 /// One row of the self-time profile.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct SelfTime {
@@ -764,17 +746,6 @@ mod tests {
         let rendered = render_self_time(&rows, 10);
         assert!(rendered.contains("t.leaf"));
         assert!(rendered.contains("self%"));
-    }
-
-    #[test]
-    fn collapsed_stacks_fold_paths() {
-        let spans = vec![
-            span("t.root", 1, 1, 0, 0, 0, 100),
-            span("t.leaf", 1, 2, 1, 0, 10, 30),
-        ];
-        let folded = collapsed_stacks(&spans);
-        assert!(folded.contains("t.root 70\n"));
-        assert!(folded.contains("t.root;t.leaf 30\n"));
     }
 
     #[test]

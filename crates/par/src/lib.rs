@@ -47,7 +47,8 @@
     clippy::expect_used,
     clippy::panic,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::unreachable
 )]
 #![warn(missing_docs)]
 
@@ -92,7 +93,7 @@ pub fn threads() -> usize {
 }
 
 /// True when called from inside a pool worker (nested calls run inline).
-pub fn in_worker() -> bool {
+pub(crate) fn in_worker() -> bool {
     IN_WORKER.with(Cell::get)
 }
 

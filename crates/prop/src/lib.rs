@@ -37,7 +37,8 @@
     clippy::expect_used,
     clippy::panic,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::unreachable
 )]
 #![warn(missing_docs)]
 
@@ -129,7 +130,7 @@ impl Choices {
     }
 
     /// The recorded stream so far, truncated to what was consumed.
-    pub fn into_recorded(mut self) -> Vec<u64> {
+    pub(crate) fn into_recorded(mut self) -> Vec<u64> {
         self.recorded.truncate(self.index);
         self.recorded
     }

@@ -76,21 +76,9 @@ impl RsConfig {
         }
     }
 
-    /// Builder-style override of the per-peer prefix limit.
-    pub fn with_prefix_limit(mut self, max: Option<usize>) -> Self {
-        self.max_prefixes_per_peer = max;
-        self
-    }
-
     /// Builder-style override of the informational tag count.
     pub fn with_info_tags(mut self, n: u8) -> Self {
         self.info_tags = n;
-        self
-    }
-
-    /// Builder-style override of the max-communities filter.
-    pub fn with_max_communities(mut self, max: Option<usize>) -> Self {
-        self.max_communities = max;
         self
     }
 
@@ -131,10 +119,8 @@ mod tests {
     fn builders() {
         let c = RsConfig::for_ixp(IxpId::Linx)
             .with_info_tags(3)
-            .with_max_communities(Some(10))
             .with_scrub(ScrubPolicy::All);
         assert_eq!(c.info_tags, 3);
-        assert_eq!(c.max_communities, Some(10));
         assert_eq!(c.scrub, ScrubPolicy::All);
     }
 }

@@ -51,25 +51,3 @@ pub enum RibEvent {
         prefix: Prefix,
     },
 }
-
-impl RibEvent {
-    /// The member this event concerns.
-    pub fn peer(&self) -> Asn {
-        match self {
-            RibEvent::PeerUp { peer, .. }
-            | RibEvent::PeerDown { peer }
-            | RibEvent::Announce { peer, .. }
-            | RibEvent::Withdraw { peer, .. } => *peer,
-        }
-    }
-
-    /// Short class name, for logs and fault accounting.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            RibEvent::PeerUp { .. } => "peer_up",
-            RibEvent::PeerDown { .. } => "peer_down",
-            RibEvent::Announce { .. } => "announce",
-            RibEvent::Withdraw { .. } => "withdraw",
-        }
-    }
-}

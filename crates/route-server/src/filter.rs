@@ -66,12 +66,12 @@ impl fmt::Display for FilterReason {
 
 /// True if the route is a blackhole request (carries the RFC 7999
 /// community).
-pub fn is_blackhole_request(route: &Route) -> bool {
+pub(crate) fn is_blackhole_request(route: &Route) -> bool {
     route.has_standard(well_known::BLACKHOLE)
 }
 
 /// Apply the import filters. `Ok(())` means accepted.
-pub fn check_import(route: &Route, config: &RsConfig) -> Result<(), FilterReason> {
+pub(crate) fn check_import(route: &Route, config: &RsConfig) -> Result<(), FilterReason> {
     let blackhole = is_blackhole_request(route);
     if blackhole && !config.blackhole_enabled {
         return Err(FilterReason::BlackholeUnsupported);

@@ -37,7 +37,8 @@
     clippy::expect_used,
     clippy::panic,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::unreachable
 )]
 #![warn(missing_docs)]
 
@@ -54,7 +55,7 @@ pub mod stats;
 pub mod prelude {
     pub use crate::config::{RsConfig, ScrubPolicy};
     pub use crate::events::RibEvent;
-    pub use crate::filter::{check_import, FilterReason};
+    pub use crate::filter::FilterReason;
     pub use crate::policy::{ExportDecision, RoutePolicy};
     pub use crate::rules::{ImportRule, RuleAction, RuleMatch};
     pub use crate::server::{FilteredRoute, IngestOutcome, Member, RouteServer};

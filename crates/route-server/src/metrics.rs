@@ -81,7 +81,7 @@ pub(crate) struct RsMetrics {
 }
 
 impl RsMetrics {
-    pub fn new(registry: &Registry) -> Self {
+    pub(crate) fn new(registry: &Registry) -> Self {
         RsMetrics {
             updates_processed: registry.counter(names::RS_UPDATES_PROCESSED),
             routes_accepted: registry.counter(names::RS_ROUTES_ACCEPTED),
@@ -106,7 +106,7 @@ impl RsMetrics {
     }
 
     /// Record one filtered route (total + per-reason counters).
-    pub fn record_filtered(&self, reason: FilterReason) {
+    pub(crate) fn record_filtered(&self, reason: FilterReason) {
         self.routes_filtered_total.inc();
         self.filtered[reason_index(reason)].inc();
     }

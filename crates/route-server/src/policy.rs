@@ -33,16 +33,6 @@ pub enum ExportDecision {
     },
 }
 
-impl ExportDecision {
-    /// Plain allow.
-    pub const ALLOW: ExportDecision = ExportDecision::Allow { prepend: 0 };
-
-    /// True when the route is exported.
-    pub const fn is_allowed(&self) -> bool {
-        matches!(self, ExportDecision::Allow { .. })
-    }
-}
-
 /// The action communities of one route, digested for per-peer decisions.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RoutePolicy {
@@ -161,7 +151,7 @@ mod tests {
     #[test]
     fn no_actions_allows_everyone() {
         let p = RoutePolicy::digest(&dict(), &route_with(&[]));
-        assert_eq!(p.decide(Asn(6939)), ExportDecision::ALLOW);
+        assert_eq!(p.decide(Asn(6939)), ExportDecision::Allow { prepend: 0 });
         assert_eq!(p.action_instances, 0);
     }
 
@@ -170,7 +160,7 @@ mod tests {
         let r = route_with(&[schemes::avoid_community(IXP, Asn(6939))]);
         let p = RoutePolicy::digest(&dict(), &r);
         assert_eq!(p.decide(Asn(6939)), ExportDecision::Deny);
-        assert_eq!(p.decide(Asn(15169)), ExportDecision::ALLOW);
+        assert_eq!(p.decide(Asn(15169)), ExportDecision::Allow { prepend: 0 });
         assert_eq!(p.action_instances, 1);
     }
 
@@ -178,7 +168,7 @@ mod tests {
     fn announce_only_denies_everyone_else() {
         let r = route_with(&[schemes::only_community(IXP, Asn(1916))]);
         let p = RoutePolicy::digest(&dict(), &r);
-        assert_eq!(p.decide(Asn(1916)), ExportDecision::ALLOW);
+        assert_eq!(p.decide(Asn(1916)), ExportDecision::Allow { prepend: 0 });
         assert_eq!(p.decide(Asn(6939)), ExportDecision::Deny);
     }
 
@@ -190,7 +180,7 @@ mod tests {
         ]);
         let p = RoutePolicy::digest(&dict(), &r);
         assert!(p.avoid_all);
-        assert_eq!(p.decide(Asn(1916)), ExportDecision::ALLOW);
+        assert_eq!(p.decide(Asn(1916)), ExportDecision::Allow { prepend: 0 });
         assert_eq!(p.decide(Asn(6939)), ExportDecision::Deny);
     }
 
@@ -211,8 +201,8 @@ mod tests {
             schemes::announce_all_community(IXP),
         ]);
         let p = RoutePolicy::digest(&dict(), &r);
-        assert_eq!(p.decide(Asn(1916)), ExportDecision::ALLOW);
-        assert_eq!(p.decide(Asn(6939)), ExportDecision::ALLOW);
+        assert_eq!(p.decide(Asn(1916)), ExportDecision::Allow { prepend: 0 });
+        assert_eq!(p.decide(Asn(6939)), ExportDecision::Allow { prepend: 0 });
     }
 
     #[test]
@@ -220,7 +210,7 @@ mod tests {
         let c2 = schemes::prepend_community(IXP, Asn(6939), 2).unwrap();
         let p = RoutePolicy::digest(&dict(), &route_with(&[c2]));
         assert_eq!(p.decide(Asn(6939)), ExportDecision::Allow { prepend: 2 });
-        assert_eq!(p.decide(Asn(15169)), ExportDecision::ALLOW);
+        assert_eq!(p.decide(Asn(15169)), ExportDecision::Allow { prepend: 0 });
     }
 
     #[test]
@@ -257,6 +247,6 @@ mod tests {
         )]);
         let p = RoutePolicy::digest(&dict(), &r);
         assert_eq!(p.action_instances, 0);
-        assert_eq!(p.decide(Asn(6939)), ExportDecision::ALLOW);
+        assert_eq!(p.decide(Asn(6939)), ExportDecision::Allow { prepend: 0 });
     }
 }

@@ -58,7 +58,7 @@ pub struct RuleMatch {
 
 impl RuleMatch {
     /// Does this matcher cover `route` as announced by `peer`?
-    pub fn matches(&self, peer: Asn, route: &Route) -> bool {
+    pub(crate) fn matches(&self, peer: Asn, route: &Route) -> bool {
         if let Some(afi) = self.afi {
             if route.afi() != afi {
                 return false;
@@ -101,7 +101,11 @@ pub struct ImportRule {
 
 /// Evaluate an ordered rule list: the first match decides.
 /// `None` means no rule matched (the implicit default is accept).
-pub fn evaluate<'a>(rules: &'a [ImportRule], peer: Asn, route: &Route) -> Option<&'a ImportRule> {
+pub(crate) fn evaluate<'a>(
+    rules: &'a [ImportRule],
+    peer: Asn,
+    route: &Route,
+) -> Option<&'a ImportRule> {
     rules.iter().find(|r| r.matcher.matches(peer, route))
 }
 

@@ -160,11 +160,6 @@ impl RouteServer {
         }
     }
 
-    /// Is event recording enabled?
-    pub fn events_enabled(&self) -> bool {
-        self.events.is_some()
-    }
-
     fn emit(&mut self, event: impl FnOnce() -> RibEvent) {
         if let Some(log) = &mut self.events {
             log.push(event());
@@ -495,31 +490,6 @@ impl RouteServer {
         self.metrics.scrubbed_communities.add(scrubbed);
         out
     }
-
-    /// Compute the export RIB towards one peer with RFC 7947 §2.3 path
-    /// selection: one best route per prefix, chosen *after* applying the
-    /// per-peer action policy. Selecting per peer (the "multiple RIBs"
-    /// approach of §2.3.2.2) avoids the path-hiding problem: if the best
-    /// path is blocked towards this peer by a do-not-announce community,
-    /// the next-best eligible path is exported instead of nothing.
-    pub fn export_best_to(&mut self, peer: Asn) -> Vec<Arc<Route>> {
-        let candidates = self.export_to(peer);
-        let mut best: std::collections::BTreeMap<Prefix, Arc<Route>> =
-            std::collections::BTreeMap::new();
-        for route in candidates {
-            match best.entry(route.prefix) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(route);
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => {
-                    if better_path(&route, e.get()) {
-                        e.insert(route);
-                    }
-                }
-            }
-        }
-        best.into_values().collect()
-    }
 }
 
 /// `route` as it leaves the RS under the config's scrub policy, with the
@@ -585,20 +555,6 @@ fn scrub(
     };
     // u32 keeps the export form at 16 bytes; no route holds 2^32 communities
     Some((scrubbed, u32::try_from(removed).unwrap_or(u32::MAX)))
-}
-
-/// RFC 4271 §9.1-style tie-breaking, reduced to what a route server can
-/// see: shorter AS path wins; then lower origin code; then lower
-/// first-hop (announcer) ASN for determinism.
-fn better_path(a: &Route, b: &Route) -> bool {
-    let key = |r: &Route| {
-        (
-            r.as_path.path_len(),
-            r.origin.code(),
-            r.as_path.first_asn().map(|x| x.value()).unwrap_or(u32::MAX),
-        )
-    };
-    key(a) < key(b)
 }
 
 #[cfg(test)]
@@ -925,86 +881,11 @@ mod tests {
     }
 
     #[test]
-    fn best_path_selection_one_route_per_prefix() {
-        let mut server = rs();
-        server.add_member(Asn(48500), true, false);
-        // two members announce the same prefix with different path lengths
-        let short = Route::builder(
-            "81.0.0.0/24".parse().unwrap(),
-            "198.32.0.7".parse().unwrap(),
-        )
-        .path([39120, 15169])
-        .build();
-        let long = Route::builder(
-            "81.0.0.0/24".parse().unwrap(),
-            "198.32.0.8".parse().unwrap(),
-        )
-        .path([48500, 51000, 15169])
-        .build();
-        server.announce(Asn(39120), short);
-        server.announce(Asn(48500), long);
-        let best = server.export_best_to(Asn(6939));
-        assert_eq!(best.len(), 1);
-        assert_eq!(best[0].as_path.first_asn(), Some(Asn(39120)));
-        // the raw export still carries both (the LG's per-peer view)
-        assert_eq!(server.export_to(Asn(6939)).len(), 2);
-    }
-
-    #[test]
-    fn best_path_avoids_path_hiding() {
-        // RFC 7947 §2.3.1: if the globally-best path is blocked towards a
-        // peer by an action community, that peer must still get the
-        // next-best path — not nothing.
-        let mut server = rs();
-        server.add_member(Asn(48500), true, false);
-        let best_but_blocked = Route::builder(
-            "81.0.0.0/24".parse().unwrap(),
-            "198.32.0.7".parse().unwrap(),
-        )
-        .path([39120, 15169])
-        .standard(schemes::avoid_community(IXP, Asn(6939)))
-        .build();
-        let fallback = Route::builder(
-            "81.0.0.0/24".parse().unwrap(),
-            "198.32.0.8".parse().unwrap(),
-        )
-        .path([48500, 51000, 15169])
-        .build();
-        server.announce(Asn(39120), best_but_blocked);
-        server.announce(Asn(48500), fallback);
-        // HE is avoided by the short path: it gets the long one
-        let to_he = server.export_best_to(Asn(6939));
-        assert_eq!(to_he.len(), 1);
-        assert_eq!(to_he[0].as_path.first_asn(), Some(Asn(48500)));
-        // everyone else gets the short path
-        let to_google = server.export_best_to(Asn(15169));
-        assert_eq!(to_google.len(), 1);
-        assert_eq!(to_google[0].as_path.first_asn(), Some(Asn(39120)));
-    }
-
-    #[test]
-    fn best_path_tie_breaks_deterministically() {
-        let mut server = rs();
-        server.add_member(Asn(48500), true, false);
-        for announcer in [48500u32, 39120] {
-            let r = Route::builder(
-                "81.0.0.0/24".parse().unwrap(),
-                "198.32.0.9".parse().unwrap(),
-            )
-            .path([announcer, 15169])
-            .build();
-            server.announce(Asn(announcer), r);
-        }
-        let best = server.export_best_to(Asn(6939));
-        assert_eq!(best.len(), 1);
-        // equal length, equal origin: lower announcer ASN wins
-        assert_eq!(best[0].as_path.first_asn(), Some(Asn(39120)));
-    }
-
-    #[test]
     fn prefix_limit_drops_excess() {
-        let config = RsConfig::for_ixp(IXP).with_prefix_limit(Some(3));
-        let mut server = RouteServer::new(config);
+        let mut server = RouteServer::new(RsConfig {
+            max_prefixes_per_peer: Some(3),
+            ..RsConfig::for_ixp(IXP)
+        });
         server.add_member(Asn(39120), true, false);
         for i in 0..5u8 {
             let r = Route::builder(

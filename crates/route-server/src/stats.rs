@@ -45,7 +45,7 @@ pub struct RsStats {
 
 impl RsStats {
     /// Record one filtered route.
-    pub fn record_filtered(&mut self, reason: FilterReason) {
+    pub(crate) fn record_filtered(&mut self, reason: FilterReason) {
         *self.routes_filtered.entry(reason).or_insert(0) += 1;
     }
 

@@ -36,7 +36,7 @@ pub struct AllowEntry {
 
 impl AllowEntry {
     /// Does this entry waive `d`?
-    pub fn covers(&self, d: &Diagnostic) -> bool {
+    pub(crate) fn covers(&self, d: &Diagnostic) -> bool {
         if self.code != d.code {
             return false;
         }
@@ -84,7 +84,7 @@ impl Allowlist {
     }
 
     /// Parse allowlist text (the TOML subset described in the module doc).
-    pub fn parse(text: &str) -> Result<Self, AllowError> {
+    pub(crate) fn parse(text: &str) -> Result<Self, AllowError> {
         let mut entries = Vec::new();
         let mut current: Option<AllowEntry> = None;
         let mut in_allow = false;

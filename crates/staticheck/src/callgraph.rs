@@ -47,7 +47,7 @@ use crate::lexer::{lex, Tok, TokKind};
 
 /// One call site inside a function body.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CallSite {
+pub(crate) struct CallSite {
     /// Callee name; macros carry a trailing `!` (`writeln!`).
     pub callee: String,
     /// Last path segment before the name for `qual::name(...)` calls
@@ -61,15 +61,12 @@ pub struct CallSite {
 
 /// One parsed function, method, or closure literal.
 #[derive(Debug, Clone)]
-pub struct FnDef {
+pub(crate) struct FnDef {
     /// Bare name (no path; resolution is by name). Closures are named
     /// `{closure@<line>}` and never participate in name resolution.
     pub name: String,
     /// 1-based line of the `fn` keyword (or the closure's first `|`).
     pub line: u32,
-    /// `Some(TypeName)` when defined inside `impl TypeName` (or
-    /// `impl Trait for TypeName`).
-    pub self_type: Option<String>,
     /// Token range of the body in the file stream: `(open, close)`
     /// indices of the braces; `open == close` means no body. The scan
     /// range is `body.0 + 1 .. body.1`; expression-bodied closures use
@@ -101,7 +98,7 @@ pub struct FnDef {
 
 /// The symbol table of one source file.
 #[derive(Debug, Default)]
-pub struct FileSyms {
+pub(crate) struct FileSyms {
     /// Workspace-relative path (`crates/x/src/lib.rs`).
     pub rel: String,
     /// The full token stream (bodies index into it).
@@ -121,7 +118,7 @@ pub struct FileSyms {
 
 /// Interior-mutability type names — SC109's seeds. `static mut` and
 /// `thread_local!` are recognized structurally, not by type name.
-pub fn im_type(id: &str) -> bool {
+pub(crate) fn im_type(id: &str) -> bool {
     matches!(
         id,
         "RefCell" | "Cell" | "UnsafeCell" | "Mutex" | "RwLock" | "Condvar"
@@ -198,7 +195,7 @@ const EDGE_STOPLIST: [&str; 58] = [
 ];
 
 /// Parse one file into its symbol table.
-pub fn parse_file(rel: &str, src: &str) -> FileSyms {
+pub(crate) fn parse_file(rel: &str, src: &str) -> FileSyms {
     let toks = lex(src);
     let mut syms = FileSyms {
         rel: rel.to_string(),
@@ -207,7 +204,7 @@ pub fn parse_file(rel: &str, src: &str) -> FileSyms {
     };
     let end = syms.toks.len();
     let mut p = Parser { syms: &mut syms };
-    p.items(0, end, None);
+    p.items(0, end);
     syms
 }
 
@@ -315,9 +312,8 @@ impl Parser<'_> {
         (end, is_test)
     }
 
-    /// Parse items in `[i, end)`; `self_type` is the enclosing impl's
-    /// type, if any.
-    fn items(&mut self, mut i: usize, end: usize, self_type: Option<&str>) {
+    /// Parse items in `[i, end)`.
+    fn items(&mut self, mut i: usize, end: usize) {
         let mut pending_test = false;
         while i < end {
             let Some(t) = self.tok(i) else { break };
@@ -337,7 +333,7 @@ impl Parser<'_> {
             }
             match t.text.as_str() {
                 "fn" => {
-                    i = self.function(i, pending_test, self_type);
+                    i = self.function(i, pending_test);
                     pending_test = false;
                 }
                 "mod" => {
@@ -345,7 +341,7 @@ impl Parser<'_> {
                     if self.is_punct(j, '{') {
                         let close = self.skip_balanced(j);
                         if !pending_test {
-                            self.items(j + 1, close - 1, self_type);
+                            self.items(j + 1, close - 1);
                         }
                         j = close;
                     } else if self.is_punct(j, ';') {
@@ -355,10 +351,8 @@ impl Parser<'_> {
                     pending_test = false;
                 }
                 "impl" | "trait" => {
-                    // scan the header to the block, remembering the last
-                    // top-level type name (`impl Tr for Type` → Type)
+                    // scan the header to the block
                     let mut j = i + 1;
-                    let mut last_ident: Option<String> = None;
                     while let Some(h) = self.tok(j) {
                         if h.is_punct('{') {
                             break;
@@ -367,19 +361,12 @@ impl Parser<'_> {
                             j = self.skip_generics(j);
                             continue;
                         }
-                        if h.kind == TokKind::Ident
-                            && h.text != "for"
-                            && h.text != "where"
-                            && h.text != "dyn"
-                        {
-                            last_ident = Some(h.text.clone());
-                        }
                         j += 1;
                     }
                     if self.is_punct(j, '{') {
                         let close = self.skip_balanced(j);
                         if !pending_test {
-                            self.items(j + 1, close - 1, last_ident.as_deref());
+                            self.items(j + 1, close - 1);
                         }
                         j = close;
                     }
@@ -606,7 +593,7 @@ impl Parser<'_> {
 
     /// Parse a `fn` item starting at `i` (the `fn` keyword). Returns the
     /// index past the item.
-    fn function(&mut self, i: usize, in_test: bool, self_type: Option<&str>) -> usize {
+    fn function(&mut self, i: usize, in_test: bool) -> usize {
         let line = self.tok(i).map(|t| t.line).unwrap_or(0);
         let Some(name) = self.ident_text(i + 1).map(str::to_string) else {
             // `fn(u32) -> u32` in type position
@@ -643,7 +630,6 @@ impl Parser<'_> {
                 self.syms.fns.push(FnDef {
                     name,
                     line,
-                    self_type: self_type.map(str::to_string),
                     body: (k, k),
                     params,
                     hash_params,
@@ -667,7 +653,6 @@ impl Parser<'_> {
         let mut def = FnDef {
             name,
             line,
-            self_type: self_type.map(str::to_string),
             body: (k, close - 1),
             params,
             hash_params,
@@ -869,7 +854,6 @@ impl Parser<'_> {
         let mut c = FnDef {
             name: format!("{{closure@{line}}}"),
             line,
-            self_type: None,
             body,
             params: params.clone(),
             hash_params: Vec::new(),
@@ -935,7 +919,7 @@ impl Parser<'_> {
             let Some(t) = self.tok(j) else { break };
             // nested fn: its own FnDef, not part of this body's calls
             if t.is_ident("fn") && self.tok(j + 1).is_some_and(|n| n.kind == TokKind::Ident) {
-                j = self.function(j, false, None);
+                j = self.function(j, false);
                 continue;
             }
             // `let [mut] name =` / `for name in`: a local binding
@@ -1007,7 +991,7 @@ impl Parser<'_> {
 
 /// A function node in the workspace call graph.
 #[derive(Debug, Clone)]
-pub struct FnNode {
+pub(crate) struct FnNode {
     /// Which file (index into the [`CallGraph::files`] order).
     pub file: usize,
     /// Index into that file's `fns`.
@@ -1024,7 +1008,7 @@ pub struct FnNode {
 
 /// The workspace call graph over every parsed file.
 #[derive(Debug, Default)]
-pub struct CallGraph {
+pub(crate) struct CallGraph {
     /// Parsed files, in the order given to [`CallGraph::build`].
     pub files: Vec<FileSyms>,
     /// Flattened function nodes.
@@ -1034,7 +1018,7 @@ pub struct CallGraph {
 
 impl CallGraph {
     /// Build the graph from parsed files.
-    pub fn build(files: Vec<FileSyms>) -> CallGraph {
+    pub(crate) fn build(files: Vec<FileSyms>) -> CallGraph {
         let mut g = CallGraph {
             files,
             nodes: Vec::new(),
@@ -1082,13 +1066,13 @@ impl CallGraph {
     }
 
     /// The function definition behind a node.
-    pub fn def(&self, idx: usize) -> &FnDef {
+    pub(crate) fn def(&self, idx: usize) -> &FnDef {
         &self.files[self.nodes[idx].file].fns[self.nodes[idx].local]
     }
 
     /// Workspace functions a call site with this callee name may reach
     /// (empty for stoplisted or external names; macros never resolve).
-    pub fn resolve(&self, callee: &str) -> &[usize] {
+    pub(crate) fn resolve(&self, callee: &str) -> &[usize] {
         if callee.ends_with('!') || EDGE_STOPLIST.contains(&callee) {
             return &[];
         }
@@ -1099,7 +1083,7 @@ impl CallGraph {
     /// following call edges, and through which callee: `next[i]` is
     /// `Some(i)` for seeds themselves, `Some(callee)` for the first hop
     /// of a witness path, `None` when unreachable.
-    pub fn reach(&self, seed: impl Fn(usize) -> bool) -> Vec<Option<usize>> {
+    pub(crate) fn reach(&self, seed: impl Fn(usize) -> bool) -> Vec<Option<usize>> {
         let mut next: Vec<Option<usize>> = vec![None; self.nodes.len()];
         let mut queue: Vec<usize> = Vec::new();
         for (i, slot) in next.iter_mut().enumerate() {
@@ -1131,7 +1115,7 @@ impl CallGraph {
 
     /// The witness path from `from` to the seed, as node indices
     /// (`from` first, the seed last).
-    pub fn chain(&self, from: usize, next: &[Option<usize>]) -> Vec<usize> {
+    pub(crate) fn chain(&self, from: usize, next: &[Option<usize>]) -> Vec<usize> {
         let mut out = vec![from];
         let mut cur = from;
         while let Some(n) = next[cur] {
@@ -1145,7 +1129,7 @@ impl CallGraph {
     }
 
     /// Render a chain as `a → b → c` using function names.
-    pub fn chain_names(&self, chain: &[usize]) -> String {
+    pub(crate) fn chain_names(&self, chain: &[usize]) -> String {
         chain
             .iter()
             .map(|&i| self.nodes[i].name.as_str())
@@ -1194,7 +1178,7 @@ mod tests {
     }
 
     #[test]
-    fn impl_methods_know_their_type() {
+    fn impl_blocks_yield_methods_and_hash_fields() {
         let syms = parse(
             "struct Index { map: HashMap<u32, u32>, n: u32 }\n\
              impl Index {\n  fn rebuild(&mut self) { self.touch(); }\n  fn touch(&mut self) {}\n}\n\
@@ -1204,10 +1188,8 @@ mod tests {
             .hash_fields
             .contains(&("Index".to_string(), "map".to_string())));
         assert!(!syms.hash_fields.iter().any(|(_, f)| f == "n"));
-        let rebuild = syms.fns.iter().find(|f| f.name == "rebuild").unwrap();
-        assert_eq!(rebuild.self_type.as_deref(), Some("Index"));
-        let fmt = syms.fns.iter().find(|f| f.name == "fmt").unwrap();
-        assert_eq!(fmt.self_type.as_deref(), Some("Index"));
+        let names: Vec<&str> = syms.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, vec!["rebuild", "touch", "fmt"]);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub struct Fixture {
 
 impl Fixture {
     /// Run the policy verifier on this fixture.
-    pub fn verify(&self) -> Vec<Diagnostic> {
+    pub(crate) fn verify(&self) -> Vec<Diagnostic> {
         let config = RsConfig::for_ixp(self.ixp).with_import_rules(self.rules.clone());
         let mut entries = if self.empty_dict {
             Vec::new()
@@ -201,7 +201,7 @@ exit codes: 0 = clean, 1 = error-grade findings, 2 = internal error";
 
 /// Policy findings for every built-in IXP scheme (members unknown),
 /// plus the SC006 cross-dictionary drift check over all eight.
-pub fn verify_builtin_schemes() -> Vec<Diagnostic> {
+pub(crate) fn verify_builtin_schemes() -> Vec<Diagnostic> {
     let mut out = Vec::new();
     let mut dicts = Vec::new();
     for ixp in IxpId::ALL {

@@ -55,7 +55,7 @@ fn unsync_im(ty: &str) -> bool {
 
 /// Run all four checks. `sink_next` is SC107's sink-reachability map
 /// (reused by SC111).
-pub fn check(graph: &CallGraph, sink_next: &[Option<usize>], out: &mut Vec<Diagnostic>) {
+pub(crate) fn check(graph: &CallGraph, sink_next: &[Option<usize>], out: &mut Vec<Diagnostic>) {
     let par_tasks: Vec<usize> = (0..graph.nodes.len())
         .filter(|&i| {
             let def = graph.def(i);

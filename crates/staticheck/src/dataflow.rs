@@ -100,19 +100,18 @@ pub(crate) fn is_sink_name(qual: Option<&str>, name: &str) -> bool {
         || name.contains("digest")
         || name.contains("json")
         || name.contains("fingerprint")
-        || name.contains("prometheus")
 }
 
 /// Run the dataflow and concurrency checks over the workspace rooted
 /// at `root`. `only` restricts analysis to files whose
 /// workspace-relative path starts with it (the `--only` self-lint
 /// filter).
-pub fn analyze(root: &Path, only: Option<&str>) -> Vec<Diagnostic> {
+pub(crate) fn analyze(root: &Path, only: Option<&str>) -> Vec<Diagnostic> {
     analyze_sources(&crate::lints::workspace_sources(root, only))
 }
 
 /// The testable core: analyze in-memory `(rel_path, source)` pairs.
-pub fn analyze_sources(sources: &[(String, String)]) -> Vec<Diagnostic> {
+pub(crate) fn analyze_sources(sources: &[(String, String)]) -> Vec<Diagnostic> {
     let files: Vec<FileSyms> = sources
         .iter()
         .map(|(rel, text)| parse_file(rel, text))

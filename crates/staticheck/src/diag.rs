@@ -12,7 +12,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 /// One-line description of a diagnostic code (the `--explain` headline).
-pub fn describe(code: &str) -> &'static str {
+pub(crate) fn describe(code: &str) -> &'static str {
     match code {
         "SC001" => "shadowed import rule: can never match",
         "SC002" => "contradictory actions on intersecting rule matchers",
@@ -33,7 +33,7 @@ pub fn describe(code: &str) -> &'static str {
 
 /// Full catalog entry for `staticheck --explain SCxxx`: rationale and
 /// waiver policy, a few lines each. `None` for unknown codes (exit 2).
-pub fn explain(code: &str) -> Option<String> {
+pub(crate) fn explain(code: &str) -> Option<String> {
     let (rationale, waiver) = match code {
         "SC001" => (
             "An import rule is dead when earlier rules jointly cover every\n\
@@ -166,7 +166,7 @@ pub struct Diagnostic {
 
 impl Diagnostic {
     /// Construct a finding.
-    pub fn new(
+    pub(crate) fn new(
         code: &str,
         severity: Severity,
         location: impl Into<String>,
@@ -202,7 +202,7 @@ pub struct Report {
 
 impl Report {
     /// Number of gating (error-severity, non-allowlisted) findings.
-    pub fn error_count(&self) -> usize {
+    pub(crate) fn error_count(&self) -> usize {
         self.findings
             .iter()
             .filter(|d| d.severity == Severity::Error)
@@ -225,7 +225,7 @@ impl Report {
 
     /// Text rendering with warnings optionally elided (the summary line
     /// always carries the counts; `--json` always carries everything).
-    pub fn render_text_with(&self, show_warnings: bool) -> String {
+    pub(crate) fn render_text_with(&self, show_warnings: bool) -> String {
         let mut out = String::new();
         for d in &self.findings {
             if show_warnings || d.severity == Severity::Error {
@@ -256,7 +256,7 @@ impl Report {
 
     /// Finding counts per diagnostic code (allowlisted ones excluded),
     /// sorted by code — the `per-check:` summary line CI parses.
-    pub fn counts_by_code(&self) -> BTreeMap<&str, usize> {
+    pub(crate) fn counts_by_code(&self) -> BTreeMap<&str, usize> {
         let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
         for d in &self.findings {
             *counts.entry(d.code.as_str()).or_default() += 1;
@@ -265,7 +265,7 @@ impl Report {
     }
 
     /// JSON rendering (machine-readable CI artifact).
-    pub fn render_json(&self) -> String {
+    pub(crate) fn render_json(&self) -> String {
         serde_json::to_string_pretty(self).unwrap_or_else(|_| "{}".to_string())
     }
 }

@@ -11,7 +11,7 @@
 
 /// What kind of token this is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokKind {
+pub(crate) enum TokKind {
     /// Identifier or keyword (`fn`, `HashMap`, `unwrap`, ...).
     Ident,
     /// One punctuation character (`{`, `.`, `<`, ...).
@@ -30,7 +30,7 @@ pub enum TokKind {
 
 /// One token with its 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Tok {
+pub(crate) struct Tok {
     /// Token class.
     pub kind: TokKind,
     /// Token text (literal contents for [`TokKind::Str`], empty for
@@ -42,19 +42,19 @@ pub struct Tok {
 
 impl Tok {
     /// Is this the identifier `s`?
-    pub fn is_ident(&self, s: &str) -> bool {
+    pub(crate) fn is_ident(&self, s: &str) -> bool {
         self.kind == TokKind::Ident && self.text == s
     }
 
     /// Is this the punctuation character `c`?
-    pub fn is_punct(&self, c: char) -> bool {
+    pub(crate) fn is_punct(&self, c: char) -> bool {
         self.kind == TokKind::Punct && self.text.len() == 1 && self.text.as_bytes()[0] as char == c
     }
 }
 
 /// Lex `src` into tokens. Comments vanish; strings and chars survive as
 /// opaque placeholder tokens so expression structure is preserved.
-pub fn lex(src: &str) -> Vec<Tok> {
+pub(crate) fn lex(src: &str) -> Vec<Tok> {
     let chars: Vec<char> = src.chars().collect();
     let n = chars.len();
     let mut toks = Vec::with_capacity(n / 4);

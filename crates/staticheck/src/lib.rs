@@ -96,16 +96,17 @@
     clippy::expect_used,
     clippy::panic,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::unreachable
 )]
 
 pub mod allow;
-pub mod callgraph;
+pub(crate) mod callgraph;
 pub mod cli;
 pub mod concurrency;
 pub mod dataflow;
-pub mod diag;
-pub mod lexer;
+pub(crate) mod diag;
+pub(crate) mod lexer;
 pub mod lints;
 pub mod policy;
 

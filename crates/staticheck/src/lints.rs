@@ -38,7 +38,7 @@ use crate::diag::{Diagnostic, Severity};
 /// restricts scanning to files whose workspace-relative path starts
 /// with it (the `--only` self-lint filter); the SC104 registry check
 /// still runs against the full root.
-pub fn lint_workspace(root: &Path, only: Option<&str>) -> Vec<Diagnostic> {
+pub(crate) fn lint_workspace(root: &Path, only: Option<&str>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for (rel, text) in workspace_sources(root, only) {
         lint_file(&rel, &text, &mut out);
@@ -207,10 +207,10 @@ fn check_names_registry(root: &Path, out: &mut Vec<Diagnostic>) {
         ));
         return;
     }
-    // the ALL block: identifiers between `pub const ALL` and `];`
+    // the ALL block: identifiers between `const ALL` and `];`
     let all_block: String = text
         .lines()
-        .skip_while(|l| !l.contains("pub const ALL"))
+        .skip_while(|l| !l.contains("const ALL"))
         .take_while(|l| !l.trim_end().ends_with("];"))
         .collect::<Vec<_>>()
         .join("\n");
@@ -260,7 +260,7 @@ fn check_names_registry(root: &Path, out: &mut Vec<Diagnostic>) {
 /// line structure and the quotes themselves. Handles line and block
 /// comments (nested), plain and raw strings, and char literals vs
 /// lifetimes.
-pub fn clean_source(text: &str) -> String {
+pub(crate) fn clean_source(text: &str) -> String {
     let bytes: Vec<char> = text.chars().collect();
     let mut out = String::with_capacity(text.len());
     let mut i = 0;

@@ -89,7 +89,7 @@ impl StreamCollector {
     }
 
     /// Drain the feed with every wait routed through `clock`.
-    pub fn drain_with_clock<T: LgTransport>(
+    pub(crate) fn drain_with_clock<T: LgTransport>(
         &self,
         state: &mut RouterState,
         transport: &mut T,

@@ -5,8 +5,8 @@
 //! session has the route server *push* per-update events — announce,
 //! withdraw, peer-up, peer-down — over the same LG transport
 //! ([`looking_glass::api::LgRequest::StreamPoll`]), and an incremental
-//! [`state::StateStore`] keyed by (router, peer, prefix) tracks live
-//! state on the collector side. Session resets replay the feed (frames
+//! [`state::RouterState`] per router, keyed by (peer, prefix), tracks
+//! live state on the collector side. Session resets replay the feed (frames
 //! keep their original sequence numbers) and the store dedups the replay;
 //! peer-down events synthesize withdraws for the departed peer's table.
 //!
@@ -50,7 +50,8 @@
     clippy::expect_used,
     clippy::panic,
     clippy::todo,
-    clippy::unimplemented
+    clippy::unimplemented,
+    clippy::unreachable
 )]
 #![warn(missing_docs)]
 
@@ -61,9 +62,7 @@ pub mod state;
 /// Common re-exports.
 pub mod prelude {
     pub use crate::collector::{DrainReport, StreamCollector, StreamConfig};
-    pub use crate::state::{
-        DeltaConsumer, PeerSession, RouteDelta, RouterState, StateStore, StreamStats,
-    };
+    pub use crate::state::{DeltaConsumer, PeerSession, RouteDelta, RouterState, StreamStats};
 }
 
 pub use prelude::*;
@@ -113,7 +112,7 @@ mod tests {
         let lg = lg_with_routes(600); // more than two STREAM_PAGEs
         let mut state = RouterState::new(IxpId::Linx);
         let report = drain(&lg, &mut state);
-        assert_eq!(state.peer_count(), 2);
+        assert_eq!(state.members_for(Afi::Ipv4).count(), 2);
         assert_eq!(state.route_count(), 600);
         // 2 peer-ups + 600 announces, applied exactly once
         assert_eq!(report.applied, 602);
@@ -185,7 +184,7 @@ mod tests {
         lg.route_server().write().remove_member(Asn(39120));
         drain(&lg, &mut state);
         assert_eq!(state.route_count(), 0);
-        assert_eq!(state.peer_count(), 1);
+        assert_eq!(state.members_for(Afi::Ipv4).count(), 1);
         assert_eq!(state.stats().synth_withdraws, 5);
     }
 
@@ -207,21 +206,6 @@ mod tests {
             serde_json::to_string(&polled).unwrap(),
             "streamed state must serialize byte-identically to the poll"
         );
-    }
-
-    #[test]
-    fn state_store_keys_routers_independently() {
-        let mut store = StateStore::new();
-        store
-            .router(IxpId::Linx)
-            .apply(&route_server::events::RibEvent::PeerUp {
-                peer: Asn(1),
-                ipv4: true,
-                ipv6: false,
-            });
-        assert_eq!(store.router(IxpId::Linx).peer_count(), 1);
-        assert!(store.get(IxpId::DeCixFra).is_none());
-        assert_eq!(store.stats().applied, 1);
     }
 
     #[test]

@@ -131,16 +131,6 @@ pub struct StreamStats {
     pub synth_withdraws: u64,
 }
 
-impl StreamStats {
-    /// Component-wise sum.
-    pub fn add(&mut self, other: &StreamStats) {
-        self.applied += other.applied;
-        self.dupes_dropped += other.dupes_dropped;
-        self.resyncs += other.resyncs;
-        self.synth_withdraws += other.synth_withdraws;
-    }
-}
-
 /// The live state of one monitored route server.
 #[derive(Debug, Clone)]
 pub struct RouterState {
@@ -168,13 +158,8 @@ impl RouterState {
         }
     }
 
-    /// The router's IXP.
-    pub fn ixp(&self) -> IxpId {
-        self.ixp
-    }
-
     /// The session generation last seen from the server.
-    pub fn session(&self) -> u64 {
+    pub(crate) fn session(&self) -> u64 {
         self.session
     }
 
@@ -189,7 +174,7 @@ impl RouterState {
     }
 
     /// Count one observed session resync.
-    pub fn note_resync(&mut self) {
+    pub(crate) fn note_resync(&mut self) {
         self.stats.resyncs += 1;
     }
 
@@ -203,7 +188,7 @@ impl RouterState {
     /// [`RouterState::ingest`], forwarding each applied event's delta to
     /// `consumer`. Deduped replays emit no delta — the store did not
     /// change, so neither does any derived state.
-    pub fn ingest_with(
+    pub(crate) fn ingest_with(
         &mut self,
         frame: &StreamFrame,
         dedup: bool,
@@ -219,13 +204,9 @@ impl RouterState {
     }
 
     /// Apply one event unconditionally (the raw event path; dedup and
-    /// cursor bookkeeping are [`RouterState::ingest`]'s job).
-    pub fn apply(&mut self, event: &RibEvent) {
-        self.apply_with(event, &mut ())
-    }
-
-    /// [`RouterState::apply`], forwarding the mutation's [`RouteDelta`]
-    /// to `consumer` after the store has changed.
+    /// cursor bookkeeping are [`RouterState::ingest`]'s job), forwarding
+    /// the mutation's [`RouteDelta`] to `consumer` after the store has
+    /// changed.
     pub fn apply_with(&mut self, event: &RibEvent, consumer: &mut dyn DeltaConsumer) {
         self.stats.applied += 1;
         match event {
@@ -298,7 +279,7 @@ impl RouterState {
     }
 
     /// Members with a session for `afi`, in ASN order.
-    pub fn members_for(&self, afi: Afi) -> impl Iterator<Item = Asn> + '_ {
+    pub(crate) fn members_for(&self, afi: Afi) -> impl Iterator<Item = Asn> + '_ {
         self.peers
             .iter()
             .filter(move |(_, s)| s.has(afi))
@@ -308,11 +289,6 @@ impl RouterState {
     /// Routes currently held, across peers and families.
     pub fn route_count(&self) -> usize {
         self.routes.values().map(BTreeMap::len).sum()
-    }
-
-    /// Members currently up (any family).
-    pub fn peer_count(&self) -> usize {
-        self.peers.len()
     }
 
     /// Synthesize the end-of-day snapshot for one family: exactly what
@@ -342,44 +318,5 @@ impl RouterState {
             partial: false,
             failed_peers: Vec::new(),
         }
-    }
-}
-
-/// The collector-side store: one [`RouterState`] per monitored router.
-#[derive(Debug, Clone, Default)]
-pub struct StateStore {
-    routers: BTreeMap<IxpId, RouterState>,
-}
-
-impl StateStore {
-    /// Empty store.
-    pub fn new() -> Self {
-        StateStore::default()
-    }
-
-    /// The state for one router, created empty on first access.
-    pub fn router(&mut self, ixp: IxpId) -> &mut RouterState {
-        self.routers
-            .entry(ixp)
-            .or_insert_with(|| RouterState::new(ixp))
-    }
-
-    /// The state for one router, if it has ever been polled.
-    pub fn get(&self, ixp: IxpId) -> Option<&RouterState> {
-        self.routers.get(&ixp)
-    }
-
-    /// All router states, in IXP order.
-    pub fn routers(&self) -> impl Iterator<Item = &RouterState> {
-        self.routers.values()
-    }
-
-    /// Accounting summed over every router.
-    pub fn stats(&self) -> StreamStats {
-        let mut total = StreamStats::default();
-        for r in self.routers.values() {
-            total.add(&r.stats());
-        }
-        total
     }
 }

@@ -84,6 +84,23 @@ if [[ "$fast" -eq 0 ]]; then
     STREAM_DAYS=12 target/release/repro stream >/dev/null
 fi
 
+# Every example runs once on the release build, so a failing assertion
+# or a panic in one fails CI instead of going unnoticed; the build steps
+# above only compile them. export_dataset writes its dataset under
+# target/. Together they take about 8 s on a 2-CPU machine.
+if [[ "$fast" -eq 0 ]]; then
+    echo "==> examples (one release run each)"
+    for example in examples/*.rs; do
+        name=$(basename "$example" .rs)
+        echo "    $name"
+        if [[ "$name" == export_dataset ]]; then
+            cargo run -q --release --example "$name" -- target/example-dataset >/dev/null
+        else
+            cargo run -q --release --example "$name" >/dev/null
+        fi
+    done
+fi
+
 # The benchmark package has its own [workspace] table, so nothing above
 # builds it — yet it derives Serialize/Deserialize on its own structs and
 # parses its child sessions' result lines with from_str: the strictest

@@ -12,12 +12,13 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 /// The lints every library crate root denies.
-const PANIC_LINTS: [&str; 5] = [
+const PANIC_LINTS: [&str; 6] = [
     "clippy::unwrap_used",
     "clippy::expect_used",
     "clippy::panic",
     "clippy::todo",
     "clippy::unimplemented",
+    "clippy::unreachable",
 ];
 
 /// The call paths `clippy.toml` disallows.
