@@ -291,10 +291,7 @@ impl View {
     /// current member set, so a member joining or leaving re-scopes
     /// Figs. 6–7 without touching any counter.
     pub(crate) fn is_ineffective(&self, action: &Action) -> bool {
-        match action.target.peer_asn() {
-            Some(asn) => !self.is_member(asn),
-            None => false,
-        }
+        action.target.is_ineffective(|asn| self.is_member(asn))
     }
 
     /// Standard IXP-defined instances (Fig. 2's standard bar, Fig. 3's

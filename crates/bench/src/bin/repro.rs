@@ -355,29 +355,16 @@ fn env_override<T: std::str::FromStr>(var: &str, expected: &str, default: T) -> 
     }
 }
 
-/// `repro check`: run [`run_check`] and exit on anything but a clean
-/// verdict — 2 when the verification itself did not complete, 1 when
-/// error-grade findings remain.
+/// `repro check`: run [`run_check`] and exit 1 when error-grade
+/// findings remain, as `staticheck` does. Exit 2 stays what it is for
+/// every experiment: the arguments were rejected before anything ran.
 fn preflight_check(ixps: &[IxpId]) {
-    match run_check(ixps) {
-        Err(msg) => {
-            // staticheck's exit 2: the analysis itself did not run
-            eprintln!(
-                "check: static verification did not complete ({msg}) — an \
-                 internal error, not a policy finding; fix staticheck.toml \
-                 syntax and rerun"
-            );
-            std::process::exit(2);
-        }
-        Ok(false) => {
-            // staticheck's exit 1: real error-grade findings remain
-            eprintln!(
-                "check: error-grade policy findings — fix the scheme or waive \
-                 the finding in staticheck.toml before reproducing results"
-            );
-            std::process::exit(1);
-        }
-        Ok(true) => {}
+    if !run_check(ixps) {
+        eprintln!(
+            "check: error-grade policy findings — fix the scheme before \
+             reproducing results"
+        );
+        std::process::exit(1);
     }
 }
 
@@ -385,18 +372,13 @@ fn preflight_check(ixps: &[IxpId]) {
 /// config + dictionary with `staticheck` before building any world,
 /// then cross-check the dictionaries against each other (SC006). The
 /// workspace sources are not scanned here: `scripts/ci.sh` runs
-/// `staticheck lints` beside clippy. The repo allowlist
-/// (`staticheck.toml`) is honored, mirroring the CLI gate. `Ok(false)`
-/// means error-grade findings remain (staticheck exit 1); `Err` means
-/// the verification itself failed (staticheck exit 2) — a malformed
-/// allowlist, not a policy finding.
-fn run_check(ixps: &[IxpId]) -> Result<bool, String> {
-    let allow_path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../staticheck.toml");
-    let allow = staticheck::Allowlist::load(&allow_path).map_err(|e| e.to_string())?;
+/// `staticheck lints` beside clippy. `false` means error-grade findings
+/// remain (staticheck exit 1).
+fn run_check(ixps: &[IxpId]) -> bool {
     let gating = |diags: &[staticheck::Diagnostic]| -> Vec<staticheck::Diagnostic> {
         diags
             .iter()
-            .filter(|d| d.severity == staticheck::Severity::Error && allow.waiver(d).is_none())
+            .filter(|d| d.severity == staticheck::Severity::Error)
             .cloned()
             .collect()
     };
@@ -434,7 +416,7 @@ fn run_check(ixps: &[IxpId]) -> Result<bool, String> {
         &staticheck::policy::verify_cross_dictionaries(&dicts),
     );
     println!("{}", t.render());
-    Ok(clean)
+    clean
 }
 
 fn run_table1(ctx: &Ctx) {

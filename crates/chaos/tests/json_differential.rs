@@ -54,14 +54,13 @@ fn lg() -> &'static LgServer {
 
 /// Every response the LG serves for one full collection of both
 /// families (summary, every page of every peer, both tables), plus the
-/// config endpoints, a feed page, and each error.
+/// config endpoint, a feed page, and each error.
 fn lg_frames() -> &'static [Wire] {
     static FRAMES: OnceLock<Vec<Wire>> = OnceLock::new();
     FRAMES.get_or_init(|| {
         let lg = lg();
         let mut frames = vec![
             lg.handle(&LgRequest::RsConfig, 0),
-            lg.handle(&LgRequest::RsConfigText, 0),
             Err(LgError::RateLimited),
             Err(LgError::Transport("a \"quoted\"\n\tline \\ \u{1}".into())),
             lg.handle(
@@ -187,9 +186,6 @@ fn seed_frames() -> &'static [String] {
                 }),
                 Ok(LgResponse::RsConfig { entries }) => Ok(LgResponse::RsConfig {
                     entries: entries.iter().take(3).cloned().collect(),
-                }),
-                Ok(LgResponse::RsConfigText { text }) => Ok(LgResponse::RsConfigText {
-                    text: text.lines().take(4).collect::<Vec<_>>().join("\n"),
                 }),
                 Ok(LgResponse::StreamEvents {
                     session,

@@ -102,6 +102,18 @@ impl Target {
             _ => None,
         }
     }
+
+    /// The paper's §5.5 "ineffective": a single-AS target is ineffective
+    /// when that AS has no session at the route server (`is_member` says
+    /// which ASes do). All-peers, region and tagged-prefix targets never
+    /// are. The one definition the route server's accounting, the batch
+    /// and incremental analyses and the static verifier share.
+    pub fn is_ineffective(self, is_member: impl Fn(Asn) -> bool) -> bool {
+        match self {
+            Target::Peer(asn) => !is_member(asn),
+            _ => false,
+        }
+    }
 }
 
 impl fmt::Display for Target {
@@ -177,6 +189,16 @@ mod tests {
         assert_eq!(Target::Peer(Asn(6939)).peer_asn(), Some(Asn(6939)));
         assert_eq!(Target::AllPeers.peer_asn(), None);
         assert_eq!(Target::Region(100).peer_asn(), None);
+    }
+
+    #[test]
+    fn only_a_single_absent_as_is_ineffective() {
+        let members = |asn: Asn| asn == Asn(6939);
+        assert!(!Target::Peer(Asn(6939)).is_ineffective(members));
+        assert!(Target::Peer(Asn(1916)).is_ineffective(members));
+        assert!(!Target::AllPeers.is_ineffective(|_| false));
+        assert!(!Target::Region(100).is_ineffective(|_| false));
+        assert!(!Target::TaggedPrefix.is_ineffective(|_| false));
     }
 
     #[test]

@@ -40,8 +40,6 @@ pub enum LgRequest {
     },
     /// The RS configuration's community dictionary (structured).
     RsConfig,
-    /// The RS configuration as text (the §3 artifact the paper fetched).
-    RsConfigText,
     /// Poll the BMP-style monitoring session for update events.
     ///
     /// `session` is the monitoring-session generation the client last saw
@@ -116,11 +114,6 @@ pub enum LgResponse {
     RsConfig {
         /// The dictionary entries the RS config lists.
         entries: Vec<DictionaryEntry>,
-    },
-    /// Response to [`LgRequest::RsConfigText`].
-    RsConfigText {
-        /// The configuration file contents.
-        text: String,
     },
     /// Response to [`LgRequest::StreamPoll`]: one page of the feed.
     StreamEvents {

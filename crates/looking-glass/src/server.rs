@@ -193,17 +193,6 @@ impl LgServer {
                     entries: community_dict::schemes::rs_config_entries(ixp),
                 })
             }
-            LgRequest::RsConfigText => {
-                let ixp = self.rs.read().ixp();
-                let entries = community_dict::schemes::rs_config_entries(ixp);
-                Ok(LgResponse::RsConfigText {
-                    text: community_dict::config_text::render(
-                        ixp.rs_asn(),
-                        ixp.short_name(),
-                        &entries,
-                    ),
-                })
-            }
             LgRequest::StreamPoll { session, after } => {
                 Ok(self.stream_poll(*session, *after, truncate))
             }

@@ -148,6 +148,21 @@ type Shard<R> = (u64, u64, Vec<(usize, R)>);
 /// called from inside a pool worker.
 ///
 /// Panics in `f` propagate to the caller (after all workers stop).
+///
+/// `F: Sync` is what keeps tasks from sharing state that is not
+/// thread-safe: a closure that captures a `RefCell` or a `Cell` is
+/// rejected at compile time (E0277), so a shared memo has to be a
+/// lock, an atomic, or an immutable table built before the call.
+///
+/// ```compile_fail,E0277
+/// let memo = std::cell::RefCell::new(std::collections::BTreeMap::new());
+/// par::map_indexed(&[1u32, 2, 3], |i, x| *memo.borrow_mut().entry(*x).or_insert(i));
+/// ```
+///
+/// ```compile_fail,E0277
+/// let seen = std::cell::Cell::new(0u32);
+/// par::map_indexed(&[1u32, 2, 3], |_, x| seen.replace(seen.get() + x));
+/// ```
 #[expect(
     clippy::disallowed_methods,
     reason = "the pool is the sanctioned thread and trace-context site: its ordered join keeps artifacts deterministic, and every task reattaches to the captured parent span"
@@ -360,8 +375,7 @@ mod tests {
         // exactly once, so the merged totals must be exact — not merely
         // approximate — no matter how claims interleave. Uneven task
         // durations push workers into each other's blocks to exercise
-        // the stealing path. (This is the output-invariance argument
-        // backing the SC111 waiver for crates/par in staticheck.toml.)
+        // the stealing path.
         let items: Vec<u64> = (0..193).collect();
         // (counters read under the pool lock, as in the test above)
         for round in 0..16 {

@@ -20,6 +20,7 @@ use bgp_wire::convert;
 use bgp_wire::message::UpdateMessage;
 use bgp_wire::WireError;
 
+use community_dict::action::Target;
 use community_dict::classify::{classify_extended, classify_large};
 use community_dict::dictionary::Dictionary;
 use community_dict::ixp::IxpId;
@@ -356,12 +357,12 @@ impl RouteServer {
             .action_instances
             .add(policy.action_instances as u64);
         for target in policy.peer_targets() {
-            if self.members.contains_key(&target) {
-                self.stats.effective_action_instances += 1;
-                self.metrics.effective_action_instances.inc();
-            } else {
+            if Target::Peer(target).is_ineffective(|asn| self.members.contains_key(&asn)) {
                 self.stats.ineffective_action_instances += 1;
                 self.metrics.ineffective_action_instances.inc();
+            } else {
+                self.stats.effective_action_instances += 1;
+                self.metrics.effective_action_instances.inc();
             }
         }
 

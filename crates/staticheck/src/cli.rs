@@ -1,22 +1,21 @@
 //! The `staticheck` command line: mode selection, fixture loading,
-//! allowlist application, rendering, exit codes.
+//! rendering, exit codes.
 //!
 //! ```text
 //! staticheck [policy|lints|all] [--format text|json] [--json]
-//!            [--warnings] [--root DIR] [--only PREFIX]
-//!            [--fixture FILE.json] [--allowlist FILE.toml]
-//!            [--no-allowlist]
+//!            [--warnings] [--root DIR] [--fixture FILE.json]
+//!            [--explain SCxxx]
 //! ```
 //!
 //! Default mode is `all`. Without a fixture, `policy` verifies every
 //! built-in IXP scheme (members unknown, so SC003 is skipped — the
 //! per-scenario member set is checked by the `repro check` pre-flight)
 //! and cross-checks the eight dictionaries against each other (SC006).
-//! `lints` runs both the token-level linter (SC103/SC104) and the
-//! dataflow pass (SC107, SC109–SC112).
+//! `lints` runs the registry linter (SC103/SC104) and the lock-order
+//! check (SC110).
 //!
-//! Exit codes: 0 = clean, 1 = non-allowlisted error-grade findings
-//! remain, 2 = internal/IO error (the analysis did not complete).
+//! Exit codes: 0 = clean, 1 = error-grade findings remain, 2 =
+//! internal/IO error (the analysis did not complete).
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -30,9 +29,8 @@ use community_dict::ixp::IxpId;
 use route_server::config::RsConfig;
 use route_server::rules::ImportRule;
 
-use crate::allow::Allowlist;
 use crate::diag::{Diagnostic, Report};
-use crate::{dataflow, diag, lints, policy};
+use crate::{diag, lints, lock_order, policy};
 
 /// A self-contained policy-verification scenario, loadable from JSON.
 /// Used by the seeded-violation fixtures under `tests/fixtures/`.
@@ -102,10 +100,7 @@ struct Options {
     format: Format,
     warnings: bool,
     root: PathBuf,
-    only: Option<String>,
     fixture: Option<PathBuf>,
-    allowlist: Option<PathBuf>,
-    no_allowlist: bool,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,10 +125,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         format: Format::Text,
         warnings: false,
         root: default_root(),
-        only: None,
         fixture: None,
-        allowlist: None,
-        no_allowlist: false,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -155,19 +147,10 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 let v = it.next().ok_or("--root needs a directory")?;
                 opts.root = PathBuf::from(v);
             }
-            "--only" => {
-                let v = it.next().ok_or("--only needs a path prefix")?;
-                opts.only = Some(v.clone());
-            }
             "--fixture" => {
                 let v = it.next().ok_or("--fixture needs a file")?;
                 opts.fixture = Some(PathBuf::from(v));
             }
-            "--allowlist" => {
-                let v = it.next().ok_or("--allowlist needs a file")?;
-                opts.allowlist = Some(PathBuf::from(v));
-            }
-            "--no-allowlist" => opts.no_allowlist = true,
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown argument {other:?}\n{USAGE}")),
         }
@@ -180,7 +163,7 @@ usage: staticheck [policy|lints|all] [options]
 
 modes:
   policy           verify IXP schemes / a --fixture (SC001-SC006)
-  lints            workspace lints + dataflow (SC103-SC112)
+  lints            workspace lints (SC103, SC104, SC110)
   all              both (default)
 
 options:
@@ -188,14 +171,9 @@ options:
   --json           shorthand for --format json
   --warnings       include warning-grade findings in text output
   --root DIR       workspace root (default: this checkout)
-  --only PREFIX    restrict lints/dataflow to files under PREFIX
-                   (e.g. --only crates/staticheck/ for the self-lint)
   --fixture F.json verify a self-contained policy scenario
-  --allowlist F    allowlist file (default: <root>/staticheck.toml)
-  --no-allowlist   ignore the allowlist entirely
-  --explain SCxxx  print the catalog entry for a diagnostic code
-                   (rationale + waiver policy) and exit; unknown codes
-                   exit 2
+  --explain SCxxx  print the catalog entry for a diagnostic code and
+                   exit; unknown codes exit 2
 
 exit codes: 0 = clean, 1 = error-grade findings, 2 = internal error";
 
@@ -225,7 +203,7 @@ pub fn run(args: &[String]) -> i32 {
     // unknown code, so CI scripts notice typos)
     if let Some(pos) = args.iter().position(|a| a == "--explain") {
         let Some(code) = args.get(pos + 1) else {
-            eprintln!("staticheck: --explain needs a diagnostic code (e.g. SC109)");
+            eprintln!("staticheck: --explain needs a diagnostic code (e.g. SC110)");
             return 2;
         };
         return match diag::explain(code) {
@@ -266,16 +244,6 @@ pub struct OutputOpts {
 /// The testable core of [`run`]: everything but printing and exiting.
 pub fn run_captured(args: &[String]) -> Result<(Report, OutputOpts), String> {
     let opts = parse_args(args)?;
-    let allowlist = if opts.no_allowlist {
-        Allowlist::default()
-    } else {
-        let path = opts
-            .allowlist
-            .clone()
-            .unwrap_or_else(|| opts.root.join("staticheck.toml"));
-        Allowlist::load(&path).map_err(|e| e.to_string())?
-    };
-
     let mut findings = Vec::new();
     if opts.mode != Mode::Lints {
         match &opts.fixture {
@@ -290,21 +258,12 @@ pub fn run_captured(args: &[String]) -> Result<(Report, OutputOpts), String> {
         }
     }
     if opts.mode != Mode::Policy {
-        let only = opts.only.as_deref();
-        findings.extend(lints::lint_workspace(&opts.root, only));
-        findings.extend(dataflow::analyze(&opts.root, only));
-    }
-
-    let mut report = Report::default();
-    for d in findings {
-        if allowlist.waiver(&d).is_some() {
-            report.allowed.push(d);
-        } else {
-            report.findings.push(d);
-        }
+        let sources = lints::workspace_sources(&opts.root);
+        findings.extend(lints::lint_workspace(&opts.root, &sources));
+        findings.extend(lock_order::check(&sources));
     }
     Ok((
-        report,
+        Report { findings },
         OutputOpts {
             format: opts.format,
             warnings: opts.warnings,
@@ -328,23 +287,10 @@ mod tests {
     }
 
     #[test]
-    fn self_lint_is_clean_without_allowlist() {
-        // the analyzer holds itself to its own rules, no waivers
-        let (report, _) = run_captured(&s(&[
-            "lints",
-            "--only",
-            "crates/staticheck/",
-            "--no-allowlist",
-        ]))
-        .expect("run");
-        assert_eq!(report.exit_code(), 0, "{}", report.render_text());
-        assert!(report.allowed.is_empty());
-    }
-
-    #[test]
     fn unknown_argument_is_an_error() {
         assert!(run_captured(&s(&["--bogus"])).is_err());
         assert!(run_captured(&s(&["--format", "yaml"])).is_err());
+        assert!(run_captured(&s(&["--no-allowlist"])).is_err());
     }
 
     #[test]

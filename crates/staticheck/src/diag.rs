@@ -1,10 +1,10 @@
 //! Diagnostics: stable codes, severities, locations, and rendering.
 //!
 //! Exit-code contract (enforced by [`crate::cli::run`], consumed by
-//! `repro check` and `scripts/ci.sh`): **0** = clean (no non-allowlisted
-//! error-grade findings), **1** = error-grade findings remain, **2** =
-//! internal/IO error (bad arguments, unreadable fixture, malformed
-//! allowlist) — the analysis itself did not run to completion.
+//! `repro check` and `scripts/ci.sh`): **0** = clean (no error-grade
+//! findings), **1** = error-grade findings remain, **2** = internal/IO
+//! error (bad arguments, unreadable fixture) — the analysis itself did
+//! not run to completion.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -22,121 +22,73 @@ pub(crate) fn describe(code: &str) -> &'static str {
         "SC006" => "cross-dictionary drift: one pattern, conflicting actions across IXPs",
         "SC103" => "metric/span name minted outside the obs::names registry",
         "SC104" => "obs::names registry is inconsistent",
-        "SC107" => "hash-map iteration order can reach serialized output",
-        "SC109" => "par-task closure captures or reaches interior mutability",
-        "SC110" => "inconsistent lock-acquisition order across call chains",
-        "SC111" => "Ordering::Relaxed atomic value flows into serialized output",
-        "SC112" => "blocking call inside a par-task closure with no deadline",
+        "SC110" => "inconsistent lock-acquisition order between two functions",
         _ => "unknown diagnostic code",
     }
 }
 
-/// Full catalog entry for `staticheck --explain SCxxx`: rationale and
-/// waiver policy, a few lines each. `None` for unknown codes (exit 2).
+/// Full catalog entry for `staticheck --explain SCxxx`: the rationale,
+/// a few lines. `None` for unknown codes (exit 2).
 pub(crate) fn explain(code: &str) -> Option<String> {
-    let (rationale, waiver) = match code {
-        "SC001" => (
+    let rationale = match code {
+        "SC001" => {
             "An import rule is dead when earlier rules jointly cover every\n\
              input it could match (exact interval arithmetic over AFI, prefix\n\
              length, peer, and community). Dead rules mislead operators about\n\
-             what the route server actually does.",
-            "Waive only for rules kept deliberately as documentation; say so.",
-        ),
-        "SC002" => (
+             what the route server actually does."
+        }
+        "SC002" => {
             "Two rules whose matchers intersect apply contradictory actions to\n\
-             the shared inputs; which one wins depends on evaluation order.",
-            "Waive only when order-dependence is the documented intent.",
-        ),
-        "SC003" => (
+             the shared inputs; which one wins depends on evaluation order."
+        }
+        "SC003" => {
             "An action community targeting an AS with no session at the route\n\
-             server can never influence export — the paper's §5.5 static half.",
-            "Waive for members expected to connect soon; name the member.",
-        ),
-        "SC004" => (
+             server can never influence export — the paper's §5.5 static half."
+        }
+        "SC004" => {
             "Two dictionary patterns give one community value two meanings;\n\
-             resolution would depend on entry order, not semantics.",
-            "Waive only when specificity precedence provably disambiguates.",
-        ),
-        "SC005" => (
+             resolution would depend on entry order, not semantics."
+        }
+        "SC005" => {
             "An applied import-rule action that no export path consults is\n\
-             configuration noise and usually a typo'd community value.",
-            "Waive for staged rollouts where the export half lands later.",
-        ),
-        "SC006" => (
+             configuration noise and usually a typo'd community value."
+        }
+        "SC006" => {
             "The same pattern maps to conflicting actions in different IXP\n\
-             dictionaries, so cross-IXP comparisons silently disagree.",
-            "Waive only with a citation for each IXP's documented semantics.",
-        ),
-        "SC103" => (
+             dictionaries, so cross-IXP comparisons silently disagree."
+        }
+        "SC103" => {
             "Metric/span names minted ad hoc drift from the obs::names\n\
-             registry, breaking dashboards and the SC104 consistency check.",
-            "No waivers: add the name to obs::names instead.",
-        ),
-        "SC104" => (
+             registry, breaking dashboards and the SC104 consistency check.\n\
+             Add the name to obs::names instead."
+        }
+        "SC104" => {
             "The obs::names registry must stay sorted, duplicate-free, and\n\
-             referenced; an inconsistent registry invalidates SC103.",
-            "No waivers: fix the registry.",
-        ),
-        "SC107" => (
-            "HashMap/HashSet iteration order differs across processes; one\n\
-             unsorted path into serialized output breaks every byte-identical\n\
-             oracle (par equivalence, trace digests, golden fixtures).",
-            "Waive only when the consumer is provably order-insensitive and a\n\
-             BTree/sort rewrite is impractical; explain both.",
-        ),
-        "SC109" => (
-            "A par-task closure (passed to par::map_indexed, thread::scope, or\n\
-             a spawned handler) that captures or transitively reaches interior\n\
-             mutability (RefCell, Cell, Mutex, RwLock, Atomic*, static mut,\n\
-             thread_local!) makes task outcomes depend on scheduling. RefCell\n\
-             and friends additionally panic on cross-thread borrow collisions.\n\
-             Unsynchronized types are errors; lock/atomic types are warnings\n\
-             (safe, but still a determinism hazard worth a look).",
-            "Waiverable only via staticheck.toml with a determinism argument:\n\
-             the reason must explain why every interleaving produces identical\n\
-             output (e.g. commutative monotonic counters merged post-join).",
-        ),
-        "SC110" => (
-            "Two call chains that acquire the same pair of locks in opposite\n\
-             orders can deadlock under concurrent execution — the classic\n\
-             hazard for the multi-client looking-glass serving path. The check\n\
-             collects per-function lock sequences (strict `let guard = ..`\n\
-             bindings only) and propagates them through the call graph.",
-            "Waive only when the two chains provably never run concurrently;\n\
-             name the serialization mechanism.",
-        ),
-        "SC111" => (
-            "An atomic read with Ordering::Relaxed carries no happens-before\n\
-             edge: the value observed depends on the CPU and the scheduler.\n\
-             Letting it flow into serialized output, metrics asserted by\n\
-             tests, or trace digests makes byte-identity runs flaky.",
-            "Waive with an output-invariance argument: the value must be\n\
-             provably identical at the read point in every execution (e.g.\n\
-             read after all writers joined).",
-        ),
-        "SC112" => (
-            "A blocking call (stream read/write, sleep, pace, recv) inside a\n\
-             par-task closure with no timeout/deadline anywhere on the chain\n\
-             lets one straggler serialize the whole pool: the ordered join\n\
-             waits for every task.",
-            "Waive with the bound: why the blocking call terminates promptly\n\
-             (bounded input, local socket) or why stalling is acceptable.",
-        ),
+             referenced; an inconsistent registry invalidates SC103."
+        }
+        "SC110" => {
+            "Two functions that hold the same pair of locks in opposite orders\n\
+             can deadlock when they run concurrently — for example two par\n\
+             tasks of one closure. The check reads each function body (guard\n\
+             bindings `let g = m.lock()` only) and does not follow calls; no\n\
+             test catches the hazard, because the deadlock needs an unlucky\n\
+             schedule."
+        }
         _ => return None,
     };
     Some(format!(
-        "{code}: {}\n\nrationale:\n{rationale}\n\nwaiver policy:\n{waiver}\n",
+        "{code}: {}\n\nrationale:\n{rationale}\n",
         describe(code)
     ))
 }
 
-/// How bad a finding is. Only non-allowlisted [`Severity::Error`]
-/// findings fail the build; warnings are reported but never gate.
+/// How bad a finding is. Only [`Severity::Error`] findings fail the
+/// build; warnings are reported but never gate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Severity {
     /// Worth knowing; does not fail CI.
     Warning,
-    /// A real defect; fails CI unless allowlisted.
+    /// A real defect; fails CI.
     Error,
 }
 
@@ -150,8 +102,8 @@ impl fmt::Display for Severity {
 }
 
 /// One finding. `code` is stable across releases (SC0xx = policy
-/// verifier, SC1xx = workspace linter) so allowlists and CI greps
-/// never chase renames.
+/// verifier, SC1xx = workspace linter) so CI greps never chase
+/// renames.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Diagnostic {
     /// Stable diagnostic code (`SC001`, `SC103`, ...).
@@ -191,17 +143,15 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// A finished run: every finding plus which ones the allowlist waived.
+/// A finished run: every finding.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct Report {
-    /// Findings that count (not allowlisted).
+    /// Every finding, errors and warnings.
     pub findings: Vec<Diagnostic>,
-    /// Findings waived by `staticheck.toml`.
-    pub allowed: Vec<Diagnostic>,
 }
 
 impl Report {
-    /// Number of gating (error-severity, non-allowlisted) findings.
+    /// Number of gating (error-severity) findings.
     pub(crate) fn error_count(&self) -> usize {
         self.findings
             .iter()
@@ -246,16 +196,14 @@ impl Report {
             out.push_str(&format!("per-check: {}\n", parts.join(" ")));
         }
         out.push_str(&format!(
-            "staticheck: {} error(s), {} warning(s), {} allowlisted\n",
+            "staticheck: {} error(s), {} warning(s)\n",
             self.error_count(),
-            warnings,
-            self.allowed.len()
+            warnings
         ));
         out
     }
 
-    /// Finding counts per diagnostic code (allowlisted ones excluded),
-    /// sorted by code — the `per-check:` summary line CI parses.
+    /// Finding counts per diagnostic code, sorted by code — the `per-check:` summary line CI parses.
     pub(crate) fn counts_by_code(&self) -> BTreeMap<&str, usize> {
         let mut counts: BTreeMap<&str, usize> = BTreeMap::new();
         for d in &self.findings {

@@ -1,6 +1,6 @@
 //! Static analysis for the IXP action-community workspace: a policy
-//! verifier, a metric-name registry linter, and an interprocedural
-//! dataflow pass behind one binary, wired into CI (`scripts/ci.sh`).
+//! verifier and a workspace linter behind one binary, wired into CI
+//! (`scripts/ci.sh`).
 //!
 //! ```text
 //! cargo run -p staticheck -- [policy|lints|all] [--format text|json]
@@ -57,38 +57,33 @@
 //!
 //! SC003 is the static half of the paper's §5.5 effectiveness question:
 //! an action targeting an AS with no RS session can never influence
-//! export. The same member-set intersection is exposed as
-//! [`policy::ineffective_targets`] so the dynamic audit
-//! (`examples/ineffective_audit.rs`) can cross-check its simulated
-//! result against the static prediction — the two must agree exactly.
+//! export ([`community_dict::action::Target::is_ineffective`], the one
+//! definition the route server and the analyses use too). The same
+//! test is exposed as [`policy::ineffective_targets`] so
+//! `tests/static_dynamic_ineffective.rs` can cross-check the route
+//! server's own accounting against the static prediction — the two
+//! must agree exactly.
 //!
-//! # Engine 2: the registry linter ([`lints`])
+//! # Engine 2: the workspace linter ([`lints`], `lock_order`)
 //!
-//! A token-level scanner (no `syn`; the container is offline) over
+//! A token-level scanner (no `syn`: the workspace builds offline) over
 //! `crates/*/src/**.rs` enforcing: SC103 every minted metric/span name
 //! comes from the `obs::names` registry, SC104 the registry itself is
-//! consistent. The source rules about calls — no panics in library
+//! consistent, and SC110 no two functions take the same pair of locks
+//! in opposite orders (within each function body; calls are not
+//! followed). The source rules about calls — no panics in library
 //! code, no raw clock reads, no ad-hoc threads, no hand-rolled trace
 //! context — are clippy lints with resolved paths (`clippy.toml`).
 //!
-//! # Engine 3: the dataflow pass ([`dataflow`])
+//! The other concurrency and determinism hazards have stronger gates
+//! than a lexical scan: rustc rejects a par task that shares a
+//! `RefCell`, `Cell` or `mpsc::Receiver` (`par::map_indexed` takes
+//! `F: Sync`), and the serial/parallel equivalence oracle and the chaos
+//! suite reject schedule- or hash-order-dependent output. TESTING.md
+//! records the seeded bugs behind that split.
 //!
-//! Interprocedural analyses over a workspace call graph built by the
-//! zero-dependency [`lexer`] + [`callgraph`] layers: SC107 flags
-//! `HashMap`/`HashSet` iteration order reaching serialized output
-//! without an intervening sort (with the call chain named in the
-//! diagnostic). The call graph models closures as anonymous
-//! functions with capture lists, which powers the concurrency-safety
-//! engine ([`concurrency`]): SC109 interior mutability reachable from a
-//! par-task closure, SC110 inconsistent lock-acquisition order, SC111
-//! `Ordering::Relaxed` values flowing into serialized output, SC112
-//! blocking calls in par tasks without a deadline. Design notes and
-//! accepted blind spots live in the module docs and TESTING.md.
-//!
-//! Sanctioned exceptions live in `staticheck.toml` at the repo root
-//! ([`allow`]); every entry needs a reason. Output renders as text or
-//! JSON. Exit status: 0 clean, 1 non-allowlisted error-grade findings,
-//! 2 internal error.
+//! Output renders as text or JSON. Exit status: 0 clean, 1 error-grade
+//! findings, 2 internal error.
 
 #![forbid(unsafe_code)]
 #![deny(
@@ -100,15 +95,10 @@
     clippy::unreachable
 )]
 
-pub mod allow;
-pub(crate) mod callgraph;
 pub mod cli;
-pub mod concurrency;
-pub mod dataflow;
 pub(crate) mod diag;
-pub(crate) mod lexer;
 pub mod lints;
+pub(crate) mod lock_order;
 pub mod policy;
 
-pub use allow::{AllowEntry, Allowlist};
 pub use diag::{Diagnostic, Report, Severity};

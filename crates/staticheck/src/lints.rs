@@ -34,14 +34,12 @@ use std::path::{Path, PathBuf};
 
 use crate::diag::{Diagnostic, Severity};
 
-/// Run every workspace lint rooted at the repository root. `only`
-/// restricts scanning to files whose workspace-relative path starts
-/// with it (the `--only` self-lint filter); the SC104 registry check
-/// still runs against the full root.
-pub(crate) fn lint_workspace(root: &Path, only: Option<&str>) -> Vec<Diagnostic> {
+/// Run both registry lints: SC103 over `sources` (from
+/// [`workspace_sources`]) and SC104 on the registry under `root`.
+pub(crate) fn lint_workspace(root: &Path, sources: &[(String, String)]) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    for (rel, text) in workspace_sources(root, only) {
-        lint_file(&rel, &text, &mut out);
+    for (rel, text) in sources {
+        lint_file(rel, text, &mut out);
     }
     check_names_registry(root, &mut out);
     out
@@ -49,9 +47,8 @@ pub(crate) fn lint_workspace(root: &Path, only: Option<&str>) -> Vec<Diagnostic>
 
 /// All library sources under `crates/*/src/` and the root `src/` as
 /// `(workspace-relative path, text)` pairs, sorted for deterministic
-/// reports and restricted to paths starting with `only` (shared with
-/// [`crate::dataflow`]).
-pub(crate) fn workspace_sources(root: &Path, only: Option<&str>) -> Vec<(String, String)> {
+/// reports (shared with [`crate::lock_order`]).
+pub(crate) fn workspace_sources(root: &Path) -> Vec<(String, String)> {
     let mut files = Vec::new();
     if let Ok(crates) = std::fs::read_dir(root.join("crates")) {
         for entry in crates.flatten() {
@@ -70,9 +67,6 @@ pub(crate) fn workspace_sources(root: &Path, only: Option<&str>) -> Vec<(String,
             .unwrap_or(&file)
             .to_string_lossy()
             .replace('\\', "/");
-        if only.is_some_and(|p| !rel.starts_with(p)) {
-            continue;
-        }
         sources.push((rel, text));
     }
     sources

@@ -28,7 +28,7 @@ use bgp_model::asn::Asn;
 use bgp_model::prefix::Afi;
 use bgp_model::route::Route;
 
-use community_dict::action::{Action, ActionKind, Target};
+use community_dict::action::{Action, ActionKind};
 use community_dict::classify::classify_route;
 use community_dict::dictionary::Dictionary;
 use community_dict::entry::DictionaryEntry;
@@ -76,10 +76,8 @@ pub fn ineffective_targets<'a>(
             let Some(action) = classification.action() else {
                 continue;
             };
-            if let Target::Peer(asn) = action.target {
-                if !members.contains(&asn) {
-                    out.insert(asn);
-                }
+            if action.target.is_ineffective(|a| members.contains(&a)) {
+                out.extend(action.target.peer_asn());
             }
         }
     }
@@ -292,19 +290,17 @@ fn check_ineffective_rules(
         let RuleAction::Apply(action) = rule.action else {
             continue;
         };
-        if let Target::Peer(asn) = action.target {
-            if !members.contains(&asn) {
-                out.push(Diagnostic::new(
-                    "SC003",
-                    Severity::Error,
-                    format!("import_rules[{i}] '{}'", rule.name),
-                    format!(
-                        "action targets AS{} which has no session at the \
-                         route server — the rule is statically ineffective",
-                        asn.value()
-                    ),
-                ));
-            }
+        if action.target.is_ineffective(|a| members.contains(&a)) {
+            out.push(Diagnostic::new(
+                "SC003",
+                Severity::Error,
+                format!("import_rules[{i}] '{}'", rule.name),
+                format!(
+                    "action targets {} which has no session at the \
+                     route server — the rule is statically ineffective",
+                    action.target
+                ),
+            ));
         }
     }
 }
@@ -323,23 +319,20 @@ fn check_ineffective_entries(
         let Semantics::Action(action) = entry.semantics else {
             continue;
         };
-        if let Target::Peer(asn) = action.target {
-            if !members.contains(&asn) {
-                // Warning, not error: the paper (§5.5) shows operators tag
-                // absent targets defensively on purpose; this must not
-                // block collection pre-flight.
-                out.push(Diagnostic::new(
-                    "SC003",
-                    Severity::Warning,
-                    format!("dict({:?}) {:?}", dict.ixp(), entry.pattern),
-                    format!(
-                        "dictionary action '{}' targets AS{} which has no \
-                         session at the route server",
-                        entry.description,
-                        asn.value()
-                    ),
-                ));
-            }
+        if action.target.is_ineffective(|a| members.contains(&a)) {
+            // Warning, not error: the paper (§5.5) shows operators tag
+            // absent targets defensively on purpose; this must not
+            // block collection pre-flight.
+            out.push(Diagnostic::new(
+                "SC003",
+                Severity::Warning,
+                format!("dict({:?}) {:?}", dict.ixp(), entry.pattern),
+                format!(
+                    "dictionary action '{}' targets {} which has no \
+                     session at the route server",
+                    entry.description, action.target
+                ),
+            ));
         }
     }
 }
@@ -582,6 +575,7 @@ pub fn verify_cross_dictionaries(dicts: &[Dictionary]) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use community_dict::action::Target;
     use community_dict::entry::DictionaryEntry;
     use community_dict::ixp::IxpId;
     use community_dict::semantics::InfoKind;

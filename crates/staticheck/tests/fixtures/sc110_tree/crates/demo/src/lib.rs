@@ -1,7 +1,8 @@
-//! Seeded SC110: two paths acquire the same pair of mutexes in
-//! opposite orders — `forward` takes `a` then (via `grab_b`) `b`,
-//! while `backward` takes `b` then `a`. Concurrent execution can
-//! deadlock; the check must name both witness chains.
+//! Seeded SC110: two functions acquire the same pair of mutexes in
+//! opposite orders — `forward` takes `a` then `b`, while `backward`
+//! takes `b` then `a`. Concurrent execution can deadlock; the check
+//! must name both witnesses. rustc accepts this, and no test run sees
+//! the deadlock unless the schedule is unlucky.
 
 use std::sync::Mutex;
 
@@ -10,17 +11,12 @@ pub struct Shared {
     b: Mutex<u32>,
 }
 
-fn grab_b(s: &Shared) -> u32 {
-    let g = s.b.lock();
-    drop(g);
-    0
-}
-
 pub fn forward(s: &Shared) -> u32 {
     let ga = s.a.lock();
-    let r = grab_b(s);
+    let gb = s.b.lock();
+    drop(gb);
     drop(ga);
-    r
+    0
 }
 
 pub fn backward(s: &Shared) -> u32 {

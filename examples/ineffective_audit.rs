@@ -36,10 +36,8 @@ fn main() {
             if let Some(action) = dict.classify(*c).action() {
                 let entry = per_member.entry(announcer).or_insert((0, 0));
                 entry.0 += 1;
-                if let Some(target) = action.target.peer_asn() {
-                    if !rs.is_member(target) {
-                        entry.1 += 1;
-                    }
+                if action.target.is_ineffective(|asn| rs.is_member(asn)) {
+                    entry.1 += 1;
                 }
             }
         }

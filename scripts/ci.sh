@@ -110,16 +110,16 @@ fi
 echo "==> benchmark package (unit + tiny-scale smoke)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
-# Static analysis: policy verifier (SC001-SC006), the metric-name
-# registry lints (SC103/SC104), and the determinism/concurrency
-# dataflow pass (SC107, SC109-SC112). The scan runs once: it must exit
-# 0, print its `per-check:` counts, and stay inside a 5-second
-# wall-clock budget so the analyzer never becomes the reason people
-# skip CI. The self-lint holds the analyzer to its own rules with zero
-# allowlist entries. The rules about calls (no panics in library code,
-# no raw clock reads, no ad-hoc threads, no hand-rolled trace context)
-# are clippy lints, run below.
-echo "==> staticheck (policy verifier + lints + concurrency dataflow)"
+# Static analysis: the policy verifier (SC001-SC006), the metric-name
+# registry lints (SC103/SC104) and the lock-order check (SC110). The
+# scan runs once: it must exit 0, print its `per-check:` counts, and
+# stay inside a 5-second wall-clock budget so the analyzer never becomes
+# the reason people skip CI. The rules about calls (no panics in library
+# code, no raw clock reads, no ad-hoc threads, no hand-rolled trace
+# context) are clippy lints, run below; rustc's `F: Sync` bound on
+# par::map_indexed and the determinism matrix above cover the other
+# concurrency and hash-order hazards (TESTING.md, "Static gates").
+echo "==> staticheck (policy verifier + registry lints + lock order)"
 sc_bin=target/debug/staticheck
 sc_status=0
 sc_start=$(date +%s%N)
@@ -128,8 +128,6 @@ sc_ms=$(( ($(date +%s%N) - sc_start) / 1000000 ))
 cat target/staticheck.txt
 [[ "$sc_status" -eq 0 ]]
 grep -q '^per-check: ' target/staticheck.txt
-echo "==> staticheck self-lint (no allowlist)"
-"$sc_bin" lints --only crates/staticheck/ --no-allowlist
 echo "    staticheck ${sc_ms}ms"
 if (( sc_ms > 5000 )); then
     echo "staticheck run exceeded its 5s budget (${sc_ms}ms)" >&2
